@@ -234,9 +234,6 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--exact", action="store_true",
                         help="print 17 significant digits instead of 15")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized scans (reserved; current "
-                             "scans are deterministic grids)")
     common.add_argument("--dim", type=int, default=None,
                         help="expected point dimension (validated when given)")
 

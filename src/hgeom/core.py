@@ -49,10 +49,16 @@ CLAMP_SLACK = 1e-9
 def as_point(x, name="point"):
     """Coerce ``x`` to a float coordinate array and validate it.
 
-    Accepts any array-like with at least one coordinate on the last axis;
-    rejects NaN and infinite entries.
+    Accepts any array-like of real numbers with at least one coordinate on
+    the last axis; rejects complex, non-numeric, NaN and infinite entries.
     """
-    arr = np.asarray(x, dtype=float)
+    try:
+        arr = np.asarray(x)
+        if arr.dtype.kind == "c":
+            raise TypeError("complex coordinates")
+        arr = arr.astype(float, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must hold real numbers ({exc})") from None
     if arr.ndim == 0 or arr.shape[-1] < 1:
         raise DimensionError(f"{name} must have at least one coordinate")
     if not np.all(np.isfinite(arr)):

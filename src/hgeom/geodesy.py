@@ -283,62 +283,50 @@ def h1_embedding(t):
     return np.sinh(t)[..., None]
 
 
-def _golden_min(f, lo, hi, iters=60):
-    # golden-section search for a local minimum on [lo, hi]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    t = (a + b) / 2.0
-    return t, f(t)
+# Refinement grid: each step evaluates _REFINE_POINTS^2 parameter pairs around
+# the best pair so far, then divides the window's half-width by
+# _REFINE_SHRINK, so the new window spans one old grid cell either side of the
+# best pair.
+_REFINE_POINTS = 9
+_REFINE_SHRINK = 4.0
 
 
-def curve_min_gap(curve_a, curve_b, span=10.0, samples=10_000, refine_iters=60):
+def curve_min_gap(curve_a, curve_b, span=10.0, samples=10_000):
     """Smallest sampled hyperbolic distance between two parametrized curves.
 
     ``curve_a`` and ``curve_b`` map a parameter array to point batches.  The
     parameter square [-span, span]^2 is scanned on a grid of ~``samples``
-    cells, then the best pair is polished by alternating golden-section
-    refinement in each coordinate.  Returns ``(gap, s, t)``.
+    cells, then the best pair is refined by a shrinking-window grid search:
+    each step evaluates a small grid around the best pair in one batched
+    distance call and shrinks the window until its half-width reaches
+    rounding level.  On a convex gap, such as the distance between two
+    disjoint lines, the result is accurate to rounding.  Returns
+    ``(gap, s, t)``, where ``gap`` is the distance between ``curve_a(s)`` and
+    ``curve_b(t)``.
 
     The scan is a falsification harness: a positive result bounds the gap
     from above and strongly suggests (but does not prove) disjointness.
     """
     m = max(2, int(round(math.sqrt(samples))))
     ts = np.linspace(-span, span, m)
-    pa = curve_a(ts)
-    pb = curve_b(ts)
-    dmat = hyperbolic_distance(pa[:, None, :], pb[None, :, :])
-    i, j = np.unravel_index(np.argmin(dmat), dmat.shape)
-    s, t = float(ts[i]), float(ts[j])
-    step = float(ts[1] - ts[0])
-
-    def dist_at(ss, tt):
-        return float(hyperbolic_distance(curve_a(np.array([ss]))[0],
-                                         curve_b(np.array([tt]))[0]))
-
-    best = float(dmat[i, j])
-    for _ in range(4):
-        s, _ = _golden_min(lambda ss: dist_at(ss, t),
-                           max(-span, s - step), min(span, s + step), refine_iters)
-        t, best = _golden_min(lambda tt: dist_at(s, tt),
-                              max(-span, t - step), min(span, t + step), refine_iters)
-    return min(best, float(dmat[i, j])), s, t
+    offsets = np.linspace(-1.0, 1.0, _REFINE_POINTS)
+    best, s, t = math.inf, 0.0, 0.0
+    ss = tt = ts
+    half = float(ts[1] - ts[0])
+    while True:
+        dmat = hyperbolic_distance(curve_a(ss)[:, None, :], curve_b(tt)[None, :, :])
+        i, j = np.unravel_index(np.argmin(dmat), dmat.shape)
+        if dmat[i, j] < best:
+            best, s, t = float(dmat[i, j]), float(ss[i]), float(tt[j])
+        if not half > 1e-15 * (1.0 + abs(s) + abs(t)):  # also stops on NaN
+            return best, s, t
+        ss = np.clip(s + half * offsets, -span, span)
+        tt = np.clip(t + half * offsets, -span, span)
+        half /= _REFINE_SHRINK
 
 
-def line_min_gap(g1: Geodesic, g2: Geodesic, span=10.0, samples=10_000,
-                 refine_iters=60):
+def line_min_gap(g1: Geodesic, g2: Geodesic, span=10.0, samples=10_000):
     """Scanned minimum hyperbolic distance between two lines."""
     return curve_min_gap(lambda t: geodesic_point(g1, t),
                          lambda t: geodesic_point(g2, t),
-                         span=span, samples=samples, refine_iters=refine_iters)
+                         span=span, samples=samples)

@@ -81,6 +81,8 @@ class Isometry:
             raise DimensionError("translation part must be a single vector")
         if u.shape != (n, n):
             raise DimensionError(f"orthogonal part must be {n}x{n}, got {u.shape}")
+        if not np.all(np.isfinite(u)):
+            raise GeometryError("orthogonal part has non-finite entries")
         drift = np.max(np.abs(u.T @ u - np.eye(n)))
         if drift > ORTHO_TOL:
             raise GeometryError(

@@ -87,6 +87,16 @@ class TestHyperbolicDistance:
         with pytest.raises(DimensionError):
             hyperbolic_distance([1.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [
+        [1 + 2j, 0.0],
+        np.array([1.0 + 0j, 0.0]),
+        ["a", 0.0],
+        [[1.0, 2.0], [3.0]],
+    ])
+    def test_non_real_input_is_domain_error(self, bad):
+        with pytest.raises(DomainError):
+            hyperbolic_distance(bad, [0.0, 0.0])
+
     @given(coords(3), coords(3))
     def test_symmetry_bitwise(self, x, y):
         assert hyperbolic_distance(x, y) == hyperbolic_distance(y, x)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -11,6 +12,7 @@ from hgeom import (
     DomainError,
     Geodesic,
     angle_measure,
+    curve_min_gap,
     geodesic_point,
     h1_embedding,
     hyperbolic_distance,
@@ -206,6 +208,34 @@ class TestTwoLinesIntersect:
         assert dist == pytest.approx(abs(u - v) * d, abs=1e-9)
 
 
+def exact_ultraparallel_gap(a, b, mu, dps=60):
+    """Distance between the line span(mu a + b) and the line
+    {sinh(t) a + cosh(t) b} in the plane, from the unit Minkowski normals
+    n1, n2 of their planes in the hyperboloid model: cosh d = |<n1, n2>|
+    (Ratcliffe, Foundations of Hyperbolic Manifolds, ch. 3)."""
+    with mp.workdps(dps):
+        a = [mp.mpf(float(v)) for v in a]
+        b = [mp.mpf(float(v)) for v in b]
+        mu = mp.mpf(float(mu))
+
+        def mink(x, y):
+            return -x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+        def normal(p, q):
+            # Minkowski-orthogonal to p and q: J (p x q), J = diag(-1, 1, 1)
+            return [-(p[1] * q[2] - p[2] * q[1]),
+                    p[2] * q[0] - p[0] * q[2],
+                    p[0] * q[1] - p[1] * q[0]]
+
+        # plane of the first line: the origin's lift and the direction
+        n1 = normal([1, 0, 0], [0, mu * a[0] + b[0], mu * a[1] + b[1]])
+        # plane of the second line: b's lift and the tangent there
+        lift_b = [mp.sqrt(1 + b[0] ** 2 + b[1] ** 2), b[0], b[1]]
+        tangent = [(a[0] * b[0] + a[1] * b[1]) / lift_b[0], a[0], a[1]]
+        n2 = normal(lift_b, tangent)
+        return float(mp.acosh(abs(mink(n1, n2)) / mp.sqrt(mink(n1, n1) * mink(n2, n2))))
+
+
 class TestParallelFamily:
     def test_direction_for_mu_two(self):
         g = parallel_family(E1, E2, 2.0)
@@ -217,6 +247,28 @@ class TestParallelFamily:
             g = parallel_family(E1, E2, mu)
             gap, _, _ = line_min_gap(g, two_vector_form_to_line(E1, E2), samples=2500)
             assert gap > 1e-4
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_scans_match_exact_ultraparallel_gap(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        ang = phi + rng.uniform(math.radians(30.0), math.radians(150.0))
+        b = rng.uniform(0.3, 2.5) * np.array([math.cos(phi), math.sin(phi)])
+        z = np.array([math.cos(ang), math.sin(ang)])
+        a, b = line_two_vector_form(Geodesic(b, z))
+        mu = rng.choice([-1.0, 1.0]) * rng.uniform(1.2, 4.0)
+        exact = exact_ultraparallel_gap(a, b, mu)
+        g1 = parallel_family(a, b, mu)
+        g2 = two_vector_form_to_line(a, b)
+        curve_b = lambda t: two_vector_point(a, b, t)  # noqa: E731
+        for gap, s, t, q in (
+            (*line_min_gap(g1, g2), lambda t: geodesic_point(g2, t)),
+            (*curve_min_gap(lambda t: geodesic_point(g1, t), curve_b), curve_b),
+        ):
+            assert abs(gap - exact) <= 1e-12 * exact
+            # the gap is the distance between the two points it reports
+            d = hyperbolic_distance(geodesic_point(g1, s), q(np.array([t]))[0])
+            assert abs(d - gap) <= 1e-12 * gap
 
     def test_distinct_mu_distinct_lines(self):
         g1 = parallel_family(E1, E2, 1.5)

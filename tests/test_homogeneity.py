@@ -7,6 +7,9 @@ import pytest
 
 from hgeom import (
     DomainError,
+    OmegaGauge,
+    OmegaReport,
+    OmegaViolation,
     builtin_gauge,
     geodesic_point,
     hyperbolic_distance,
@@ -18,6 +21,8 @@ from hgeom import (
     sphere_fit_rotation,
     table_gauge,
 )
+
+from hgeom.homogeneity import RAY_SAMPLING_CAP
 
 from util import random_unit
 
@@ -73,6 +78,79 @@ class TestOmegaValidate:
             table_gauge([0.5, 1.0], [0.0, 1.0])
         with pytest.raises(DomainError):
             table_gauge([0.0, 1.0, 0.5], [0.0, 0.5, 1.0])
+
+
+def scalar_omega_reference(gauge, grid_size):
+    """omega_validate as a row-by-row scan with one scalar gauge call per
+    value: the reference the vectorized check must reproduce exactly."""
+    if gauge.domain == "unit":
+        grid = np.linspace(0.0, 1.0, grid_size)
+        top = 1.0 + 1e-12
+    else:
+        grid = np.concatenate(
+            [[0.0], np.geomspace(1e-4, RAY_SAMPLING_CAP, grid_size - 1)]
+        )
+        top = math.inf
+    vals = [float(gauge.fn(float(t))) for t in grid]
+
+    def fail(*violation):
+        return OmegaReport(False, OmegaViolation(*violation), gauge.domain, grid_size)
+
+    if abs(vals[0]) > 1e-12:
+        return fail("zero", 0.0, None, vals[0], 0.0)
+    for i in range(grid_size - 1):
+        if not vals[i] < vals[i + 1]:
+            return fail("increasing", grid[i], grid[i + 1], vals[i], vals[i + 1])
+    for i in range(grid_size):
+        for j in range(i, grid_size):
+            s = grid[i] + grid[j]
+            if s > top:
+                break
+            lhs = float(gauge.fn(float(s)))
+            rhs = vals[i] + vals[j]
+            if lhs > rhs + 1e-12 * (1.0 + abs(rhs)):
+                return fail("subadditive", grid[i], grid[j], lhs, rhs)
+    return OmegaReport(True, None, gauge.domain, grid_size)
+
+
+def _arr(t):
+    return np.asarray(t, dtype=float)
+
+
+REFERENCE_GAUGES = {
+    **{f"{name}-{domain}": builtin_gauge(name, domain=domain)
+       for name in ("identity", "sqrt", "square", "saturating")
+       for domain in ("ray", "unit")},
+    "offset": OmegaGauge(lambda t: _arr(t) + 1.0, "ray", math.inf),
+    "decreasing": OmegaGauge(lambda t: -_arr(t), "ray", math.inf),
+    # strictly increasing up to 30, constant from there on
+    "plateau": OmegaGauge(lambda t: np.minimum(np.sqrt(_arr(t)), math.sqrt(30.0)),
+                          "ray", math.sqrt(30.0)),
+    "concave-table": table_gauge([0.0, 2.0, 10.0, 60.0], [0.0, 3.0, 7.0, 12.0]),
+    # concave up to 20, then steep: subadditivity first fails deep in a row
+    "kinked-table": table_gauge([0.0, 10.0, 20.0, 100.0], [0.0, 5.0, 8.0, 100.0]),
+    # steep start: subadditivity first fails in row 145 of the 200-point grid
+    "late-kink-table": table_gauge([0.0, 1.0, 30.0, 200.0], [0.0, 10.0, 39.0, 889.0]),
+    "unit-table": table_gauge([0.0, 0.5, 1.0], [0.0, 0.4, 0.6]),
+    "convex-unit-table": table_gauge([0.0, 0.5, 1.0], [0.0, 0.2, 1.0]),
+}
+
+
+class TestOmegaValidateReference:
+    @pytest.mark.parametrize("grid_size", [2, 50, 200])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_GAUGES))
+    def test_matches_scalar_loop(self, name, grid_size):
+        gauge = REFERENCE_GAUGES[name]
+        assert omega_validate(gauge, grid_size) == scalar_omega_reference(
+            gauge, grid_size
+        )
+
+    def test_reference_covers_every_verdict(self):
+        conditions = {
+            None if r.violation is None else r.violation.condition
+            for r in (scalar_omega_reference(g, 200) for g in REFERENCE_GAUGES.values())
+        }
+        assert conditions == {None, "zero", "increasing", "subadditive"}
 
 
 class TestSnowflake:

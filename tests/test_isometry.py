@@ -110,6 +110,11 @@ class TestIsometry:
         with pytest.raises(DimensionError):
             Isometry(np.zeros(3), np.eye(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_orthogonal_part(self, bad):
+        with pytest.raises(GeometryError):
+            Isometry(np.zeros(2), np.array([[bad, 0.0], [0.0, 1.0]]))
+
 
 class TestComposeInvert:
     def test_compose_with_identity(self):
