@@ -3,8 +3,11 @@
 A finite map fixing the origin preserves hyperbolic distances exactly when it
 preserves all pairwise inner products, so building the linear part of an
 isometry reduces to mapping one orthonormal frame onto another with matching
-Gram data.  The completion of a partial frame is deterministic: ordered
-coordinate vectors, orthonormalized.
+Gram data.  One routine builds every frame: classical Gram-Schmidt run twice
+per vector ("CGS2", as stable as modified Gram-Schmidt with
+reorthogonalization).  The completion of a partial frame is deterministic:
+the same routine applied to the frame followed by the ordered coordinate
+vectors.
 """
 
 from __future__ import annotations
@@ -29,63 +32,29 @@ def gram_mismatch(a, b):
     return float(np.max(np.abs(gram_matrix(a) - gram_matrix(b)))) if len(a) else 0.0
 
 
-def _orthogonalize(v, frame):
-    # modified Gram-Schmidt with one re-orthogonalization pass
-    w = v.astype(float, copy=True)
-    for _ in range(2):
-        for f in frame:
-            w -= (f @ w) * f
-    return w
-
-
-def orthonormal_frame(vectors, tol=DEPENDENCY_TOL):
+def orthonormal_frame(vectors):
     """Orthonormal basis of the span of ``vectors`` (rows), in input order.
 
-    Returns ``(frame, picked)`` where ``picked`` lists the indices of the
-    input vectors that contributed a new direction.
+    Rows whose component orthogonal to the frame so far is negligible are
+    skipped; the scan stops once the frame spans the whole space.  Returns
+    ``(frame, picked)`` where ``picked`` lists the indices of the input
+    vectors that contributed a new direction.
     """
     vectors = np.asarray(vectors, dtype=float)
-    frame: list[np.ndarray] = []
+    dim = vectors.shape[-1]
+    frame = np.empty((min(len(vectors), dim), dim))
     picked: list[int] = []
     for i, v in enumerate(vectors):
-        w = _orthogonalize(v, frame)
-        nw = np.linalg.norm(w)
-        if nw > tol * max(1.0, np.linalg.norm(v)):
-            frame.append(w / nw)
-            picked.append(i)
-    return np.array(frame).reshape(len(frame), vectors.shape[-1]), picked
-
-
-def orthonormal_frame_at(vectors, picked, tol=DEPENDENCY_TOL):
-    """Orthonormalize ``vectors`` at the given row indices; raises if a row
-    that is expected to be independent turns out dependent."""
-    vectors = np.asarray(vectors, dtype=float)
-    frame: list[np.ndarray] = []
-    for i in picked:
-        w = _orthogonalize(vectors[i], frame)
-        nw = np.linalg.norm(w)
-        if nw <= tol * max(1.0, np.linalg.norm(vectors[i])):
-            raise GeometryError(
-                f"vector {i} is linearly dependent on its predecessors"
-            )
-        frame.append(w / nw)
-    return np.array(frame).reshape(len(frame), vectors.shape[-1])
-
-
-def complete_frame(frame, dim, tol=DEPENDENCY_TOL):
-    """Extend an orthonormal frame to a full basis of R^dim by appending
-    coordinate vectors in order and orthonormalizing."""
-    rows = [np.asarray(f, dtype=float) for f in frame]
-    for j in range(dim):
-        if len(rows) == dim:
+        if len(picked) == dim:
             break
-        w = _orthogonalize(np.eye(dim)[j], rows)
+        f = frame[: len(picked)]
+        w = v - f.T @ (f @ v)
+        w -= f.T @ (f @ w)
         nw = np.linalg.norm(w)
-        if nw > tol:
-            rows.append(w / nw)
-    if len(rows) != dim:
-        raise GeometryError("failed to complete an orthonormal basis")
-    return np.array(rows)
+        if nw > DEPENDENCY_TOL * max(1.0, np.linalg.norm(v)):
+            frame[len(picked)] = w / nw
+            picked.append(i)
+    return frame[: len(picked)], picked
 
 
 def polar_orthogonalize(m):
@@ -94,7 +63,7 @@ def polar_orthogonalize(m):
     return w @ vt
 
 
-def orthogonal_map(source, target, tol=DEPENDENCY_TOL):
+def orthogonal_map(source, target):
     """Orthogonal matrix U with U @ source[i] ~= target[i].
 
     Assumes the two Gram matrices already agree (the caller gates on that).
@@ -104,9 +73,12 @@ def orthogonal_map(source, target, tol=DEPENDENCY_TOL):
     """
     source = np.asarray(source, dtype=float)
     target = np.asarray(target, dtype=float)
-    dim = source.shape[-1]
-    e_frame, picked = orthonormal_frame(source, tol)
-    f_frame = orthonormal_frame_at(target, picked, tol)
-    e_full = complete_frame(e_frame, dim, tol)
-    f_full = complete_frame(f_frame, dim, tol)
-    return polar_orthogonalize(f_full.T @ e_full), len(picked)
+    eye = np.eye(source.shape[-1])
+    e_full, picked = orthonormal_frame(np.vstack([source, eye]))
+    pivots = [i for i in picked if i < len(source)]
+    f_frame, kept = orthonormal_frame(target[pivots])
+    if len(kept) < len(pivots):
+        bad = next(i for j, i in enumerate(pivots) if j not in kept)
+        raise GeometryError(f"vector {bad} is linearly dependent on its predecessors")
+    f_full, _ = orthonormal_frame(np.vstack([f_frame, eye]))
+    return polar_orthogonalize(f_full.T @ e_full), len(pivots)

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import gram
 from .core import (
+    as_point,
     euclidean_distance,
     hyperbolic_distance,
     projective_distance,
@@ -352,8 +353,8 @@ def sphere_fit_rotation(source, target, tol=1e-6):
     The construction mirrors the hyperbolic fit: orthonormal frames with
     matching pivots, canonical completion, polar projection.
     """
-    src = np.atleast_2d(np.asarray(source, dtype=float))
-    tgt = np.atleast_2d(np.asarray(target, dtype=float))
+    src = np.atleast_2d(as_point(source, "source"))
+    tgt = np.atleast_2d(as_point(target, "target"))
     if src.shape != tgt.shape:
         raise DimensionError("source and target shapes differ")
     scale = float(np.max(np.abs(src @ src.T), initial=0.0))

@@ -169,25 +169,27 @@ def fit_isometry(source, target, tol=FIT_DISTANCE_TOL):
 
     The input must be a partial isometry: all pairwise hyperbolic distances
     on the source must match those on the target within ``tol * (1 + d)``.
-    The first source/target points are translated to the origin, the Gram
-    matrices of the translated sets are checked for equality, an orthogonal
-    map between them is built (completed canonically on the orthogonal
-    complement), and the whole map is conjugated back and returned in
-    (a, U) form.
+    The first source/target points are translated to the origin, an
+    orthogonal map between the remaining translated points is built
+    (completed canonically on the orthogonal complement), and the whole map
+    is conjugated back and returned in (a, U) form.
 
     Raises :class:`PartialIsometryError` when the distance hypothesis fails,
-    with the offending index pair attached.
+    with the offending index pair attached, and when the fitted map misses
+    a target by more than ``tol * (1 + D)``, D the largest source distance.
     """
-    src = np.atleast_2d(np.asarray(source, dtype=float))
-    tgt = np.atleast_2d(np.asarray(target, dtype=float))
+    src = np.atleast_2d(as_point(source, "source"))
+    tgt = np.atleast_2d(as_point(target, "target"))
+    if src.ndim > 2 or tgt.ndim > 2:
+        raise DimensionError("source and target must be lists of points")
     if src.shape[0] != tgt.shape[0]:
         raise DimensionError("source and target lists have different lengths")
     if src.shape[0] < 1:
         raise GeometryError("need at least one sample point")
     if src.shape[1] != tgt.shape[1]:
         raise DimensionError("source and target dimensions differ")
-    src = as_point(src, "source")
-    tgt = as_point(tgt, "target")
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"fit tolerance must be finite and >= 0, got {tol!r}")
     dim = src.shape[1]
 
     ds = hyperbolic_distance(src[:, None, :], src[None, :, :])
@@ -202,10 +204,8 @@ def fit_isometry(source, target, tol=FIT_DISTANCE_TOL):
         )
 
     p0, q0 = src[0], tgt[0]
-    b = translation_apply(-p0, src)
-    c = translation_apply(-q0, tgt)
-    if gram.gram_mismatch(b, c) > tol * (1.0 + float(np.max(np.abs(b @ b.T), initial=0.0))):
-        raise PartialIsometryError("translated Gram matrices disagree")
+    b = translation_apply(-p0, src[1:])
+    c = translation_apply(-q0, tgt[1:])
     try:
         u, rank = gram.orthogonal_map(b, c)
     except GeometryError as exc:
@@ -216,6 +216,11 @@ def fit_isometry(source, target, tol=FIT_DISTANCE_TOL):
 
     iso = _decompose_action(action, dim)
     residual = float(np.max(hyperbolic_distance(isometry_apply(iso, src), tgt)))
+    bound = tol * (1.0 + float(np.max(ds)))
+    if not residual <= bound:
+        raise PartialIsometryError(
+            f"fit misses a target by {residual!r} (contract {bound!r})"
+        )
     return FitResult(isometry=iso, unique=(rank == dim), max_residual=residual)
 
 

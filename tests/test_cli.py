@@ -139,6 +139,15 @@ class TestFit:
         assert code == 3
         assert "pair" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tolerance_exits_2(self, capsys, tmp_path, tol):
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"source": [[0.0], [1.0]],
+                                    "target": [[0.0], [2.5]]}))
+        code, _, err = run(capsys, ["fit", str(path), "--tol", tol])
+        assert code == 2
+        assert "tolerance" in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run(capsys, ["fit", "/does/not/exist.json"])
         assert code == 2

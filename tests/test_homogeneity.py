@@ -308,6 +308,16 @@ class TestSphereFitRotation:
         assert np.max(np.abs(rot @ u1 - u2)) < 1e-9
         assert np.max(np.abs(rot @ v1 - v2)) < 1e-9
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_points(self, bad):
+        pts = np.eye(3)
+        broken = pts.copy()
+        broken[1, 2] = bad
+        with pytest.raises(DomainError):
+            sphere_fit_rotation(broken, pts)
+        with pytest.raises(DomainError):
+            sphere_fit_rotation(pts, broken)
+
     def test_counterexample_triples_unmatchable(self):
         rec = projective_counterexample(2)
         for e0 in (1.0, -1.0):

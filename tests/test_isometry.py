@@ -24,6 +24,8 @@ from hgeom import (
     translation_isometry,
 )
 
+from hgeom.isometry import FIT_DISTANCE_TOL
+
 from util import random_isometry, random_orthogonal
 
 TWO_SQRT2 = 2.8284271247461903
@@ -252,6 +254,71 @@ class TestFitIsometry:
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             fit_isometry([np.zeros(2)], [np.zeros(2), np.ones(2)])
+
+    @pytest.mark.parametrize("bad", [
+        [[1.0 + 2.0j, 0.0]], [[1.0, 0.0], [1.0]], [["a", "b"]], [[np.nan, 0.0]],
+    ])
+    def test_rejects_non_real_input(self, bad):
+        with pytest.raises(DomainError):
+            fit_isometry(bad, [[0.0, 0.0]])
+        with pytest.raises(DomainError):
+            fit_isometry([[0.0, 0.0]], bad)
+
+    def test_rejects_input_beyond_two_axes(self):
+        pts = np.zeros((2, 2, 3))
+        with pytest.raises(DimensionError):
+            fit_isometry(pts, pts)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-6])
+    def test_rejects_bad_tolerance(self, tol):
+        src = np.array([[0.0], [1.0]])
+        tgt = np.array([[0.0], [2.5]])  # distances 0.88 vs 2.31
+        with pytest.raises(DomainError):
+            fit_isometry(src, tgt, tol=tol)
+
+
+def _scaled_fit_problem(rng, dim, scale, rotation_only):
+    a = np.zeros(dim) if rotation_only else rng.uniform(-5.0, 5.0, dim)
+    g = Isometry(a, random_orthogonal(rng, dim))
+    src = rng.uniform(-scale, scale, (dim + 2, dim))
+    held = rng.uniform(-scale, scale, (3, dim))
+    return g, src, isometry_apply(g, src), held
+
+
+class TestFitAtLargeScale:
+    """Fits whose sample coordinates are of size 1e2 .. 1e4."""
+
+    @pytest.mark.parametrize("rotation_only", [True, False])
+    def test_scale_1e2_preserves_held_out_distances(self, rotation_only):
+        rng = np.random.default_rng(14)
+        worst = 0.0
+        for _ in range(8):
+            for dim in (2, 3, 5):
+                g, src, tgt, held = _scaled_fit_problem(rng, dim, 1e2, rotation_only)
+                res = fit_isometry(src, tgt)
+                assert res.unique
+                image = isometry_apply(res.isometry, held)
+                d0 = hyperbolic_distance(held[:, None, :], src[None, :, :])
+                d1 = hyperbolic_distance(image[:, None, :], tgt[None, :, :])
+                worst = max(worst, float(np.max(np.abs(d1 - d0))))
+        assert worst <= 1e-7
+
+    @pytest.mark.parametrize("scale", [1e2, 1e3, 1e4])
+    @pytest.mark.parametrize("rotation_only", [True, False])
+    def test_residual_contract(self, scale, rotation_only):
+        rng = np.random.default_rng(15)
+        for _ in range(8):
+            for dim in (2, 3, 5):
+                g, src, tgt, _ = _scaled_fit_problem(rng, dim, scale, rotation_only)
+                try:
+                    res = fit_isometry(src, tgt)
+                except PartialIsometryError:
+                    continue
+                ds = hyperbolic_distance(src[:, None, :], src[None, :, :])
+                bound = FIT_DISTANCE_TOL * (1.0 + float(np.max(ds)))
+                miss = hyperbolic_distance(isometry_apply(res.isometry, src), tgt)
+                assert res.max_residual == float(np.max(miss))
+                assert res.max_residual <= bound
 
 
 class TestDilationResidual:
