@@ -1,7 +1,7 @@
 """Vectorized double-double (compensated) arithmetic.
 
-Only what the distance kernel needs: error-free sums/products, a compensated
-dot product over the last axis, and a doubled-precision sqrt.  All helpers
+Only what the distance kernel needs: error-free sums/products, a doubled-
+precision sqrt, and the one-pass compensated Minkowski excess.  All helpers
 broadcast like plain numpy ufuncs.
 """
 
@@ -28,11 +28,20 @@ def _split(a):
     return hi, a - hi
 
 
+def _prod_err(p, ah, al, bh, bl):
+    """Exact error a*b - p of p = fl(a*b), from the Dekker halves of a and b."""
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _square_err(p, ah, al):
+    """Exact error a*a - p of p = fl(a*a); equal to ``_prod_err(p, ah, al,
+    ah, al)`` to the bit, since every step of either is exact."""
+    return ((ah * ah - p) + 2.0 * (ah * al)) + al * al
+
+
 def two_prod(a, b):
     p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return p, _prod_err(p, *_split(a), *_split(b))
 
 
 def dd_add(xh, xl, yh, yl):
@@ -46,23 +55,10 @@ def dd_mul(xh, xl, yh, yl):
 
 
 def dd_sqrt(xh, xl):
+    # requires xh > 0; the kernel only takes roots of 1 + |x|^2
     r = np.sqrt(xh)
     p, e = two_prod(r, r)
-    d = ((xh - p) - e) + xl
-    denom = np.where(r == 0.0, 1.0, 2.0 * r)
-    return quick_two_sum(r, np.where(r == 0.0, 0.0, d / denom))
-
-
-def dd_dot(x, y):
-    """Compensated dot product over the last axis (leading axes broadcast)."""
-    shape = np.broadcast_shapes(x.shape, y.shape)[:-1]
-    s = np.zeros(shape)
-    c = np.zeros(shape)
-    for i in range(x.shape[-1]):
-        p, pe = two_prod(x[..., i], y[..., i])
-        s, se = two_sum(s, p)
-        c = c + (se + pe)
-    return quick_two_sum(s, c)
+    return quick_two_sum(r, (((xh - p) - e) + xl) / (2.0 * r))
 
 
 def minkowski_excess(x, y):
@@ -70,19 +66,38 @@ def minkowski_excess(x, y):
 
     This is the quantity whose plain double evaluation cancels catastrophically
     both for nearby points and for far points that are nearly radially aligned;
-    doubled precision keeps the relative error at the eps level throughout.
-    The expression is evaluated symmetrically, so swapping x and y returns the
-    bit-identical result, and bit-equal inputs return exactly 0.
+    doubled precision keeps the relative error at the eps level for moderate
+    coordinates (far, nearly radial pairs still lose accuracy).  The expression
+    is evaluated symmetrically, so swapping x and y returns the bit-identical
+    result, and bit-equal inputs return exactly 0.
+
+    |x|^2, |y|^2 and <x,y> are compensated dot products (Dot2 of Ogita, Rump
+    and Oishi) accumulated in one pass over the coordinates, in coordinate
+    order: each coordinate is split once, and the squared norms are taken on
+    each operand's own shape, so only <x,y> runs on the broadcast shape.
     """
-    xb, yb = np.broadcast_arrays(x, y)
-    nxh, nxl = dd_dot(xb, xb)
-    nyh, nyl = dd_dot(yb, yb)
-    bxh, bxl = dd_sqrt(*dd_add(nxh, nxl, 1.0, 0.0))
-    byh, byl = dd_sqrt(*dd_add(nyh, nyl, 1.0, 0.0))
+    # running sums and error sums of |x|^2, |y|^2 and <x,y>
+    xs = xc = ys = yc = ps = pc = 0.0
+    for i in range(x.shape[-1]):
+        # [()] turns the 0-d slices of single points into numpy scalars,
+        # whose arithmetic is several times cheaper than 0-d arrays'
+        a, b = x[..., i][()], y[..., i][()]
+        ah, al = _split(a)
+        bh, bl = _split(b)
+        p = a * a
+        xs, e = two_sum(xs, p)
+        xc = xc + (e + _square_err(p, ah, al))
+        p = b * b
+        ys, e = two_sum(ys, p)
+        yc = yc + (e + _square_err(p, bh, bl))
+        p = a * b
+        ps, e = two_sum(ps, p)
+        pc = pc + (e + _prod_err(p, ah, al, bh, bl))
+    bxh, bxl = dd_sqrt(*dd_add(*quick_two_sum(xs, xc), 1.0, 0.0))
+    byh, byl = dd_sqrt(*dd_add(*quick_two_sum(ys, yc), 1.0, 0.0))
     ph, pl = dd_mul(bxh, bxl, byh, byl)
-    ih, il = dd_dot(xb, yb)
+    ih, il = quick_two_sum(ps, pc)
     sh, sl = dd_add(ph, pl, -ih, -il)
     sh, sl = dd_add(sh, sl, -1.0, 0.0)
     s = np.maximum(sh + sl, 0.0)
-    equal = np.all(xb == yb, axis=-1)
-    return np.where(equal, 0.0, s)
+    return np.where((x == y).all(axis=-1), 0.0, s)[()]

@@ -90,14 +90,34 @@ def clamp_to(v, lo, hi, slack=CLAMP_SLACK, what="value"):
     return np.clip(v, lo, hi)
 
 
+def require_finite(v, what):
+    """Return ``v``, or raise DomainError if it overflowed to inf or NaN.
+
+    Finite coordinates overflow once a squared norm passes the double range
+    (|x| of about 1.34e154) or a result does; raising keeps that from
+    surfacing as NaN, inf or a wrong number.
+    """
+    if not np.isfinite(v).all():
+        raise DomainError(
+            f"{what} overflows double precision (squared norms must stay "
+            f"below ~1.8e308, i.e. |x| below ~1.3e154)"
+        )
+    return v
+
+
+def _bracket(x):
+    # [x] of validated coordinates; inf once |x|^2 overflows
+    return np.hypot(1.0, np.linalg.norm(x, axis=-1))
+
+
 def bracket(x):
     """[x] = sqrt(1 + |x|^2), the time coordinate of the hyperboloid lift.
 
-    Evaluated hypot-style so it does not overflow for |x| up to ~1e150.
-    Always >= 1.
+    Always >= 1.  Raises DomainError once |x|^2 overflows (|x| of about
+    1.34e154).
     """
     x = as_point(x)
-    return _scalarize(np.hypot(1.0, np.linalg.norm(x, axis=-1)))
+    return _scalarize(require_finite(_bracket(x), "[x]"))
 
 
 def hyperbolic_distance(x, y):
@@ -105,12 +125,13 @@ def hyperbolic_distance(x, y):
 
     Evaluated in the cancellation-free form ``2*asinh(sqrt(s/2))`` where
     ``s = [x][y] - <x,y> - 1`` is computed with compensated arithmetic, which
-    keeps full relative accuracy for nearby points and for far points that
-    are nearly radially aligned.  Symmetric to the bit, and exactly 0 for
-    bit-equal inputs.
+    keeps full relative accuracy for nearby points; far points (|x| around
+    1e6 and beyond) that are nearly radially aligned still lose it.
+    Symmetric to the bit, and exactly 0 for bit-equal inputs.  Raises
+    DomainError when a squared norm or ``[x][y] - <x,y>`` overflows.
     """
     x, y = _pair(x, y)
-    s = _dd.minkowski_excess(x, y)
+    s = require_finite(_dd.minkowski_excess(x, y), "[x][y] - <x,y>")
     return _scalarize(2.0 * np.arcsinh(np.sqrt(0.5 * s)))
 
 
@@ -189,14 +210,14 @@ def proj_points_equal(u, v, tol=DEFAULT_TOL):
 def hyperboloid_embed(x):
     """Lift x to ([x], x), the hyperboloid sheet where [x]^2 - |x|^2 = 1."""
     x = as_point(x)
-    b = np.asarray(np.hypot(1.0, np.linalg.norm(x, axis=-1)))
+    b = np.asarray(require_finite(_bracket(x), "[x]"))
     return np.concatenate([b[..., None], x], axis=-1)
 
 
 def poincare_coords(x):
     """Poincare-ball coordinates x / (1 + [x]); the image has norm < 1."""
     x = as_point(x)
-    b = np.asarray(np.hypot(1.0, np.linalg.norm(x, axis=-1)))
+    b = np.asarray(require_finite(_bracket(x), "[x]"))
     return x / (1.0 + b[..., None])
 
 

@@ -26,6 +26,8 @@ from hgeom import (
     sphere_point,
 )
 
+from hgeom import _dd
+
 from util import exact_hyperbolic_distance, naive_argument, naive_hyperbolic_distance, random_unit
 
 # frozen oracle values (hand/high-precision evaluation of the closed forms)
@@ -52,6 +54,14 @@ class TestBracket:
     def test_no_overflow_huge(self):
         assert math.isfinite(bracket([1e150]))
         assert bracket([1e150]) == pytest.approx(1e150, rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_raises(self):
+        # |x|^2 passes the double range; this returned inf
+        with pytest.raises(DomainError):
+            bracket([1e300, 1e300])
+        with pytest.raises(DomainError):
+            bracket([[1.0, 0.0], [1e200, 0.0]])
 
     def test_batched(self):
         out = bracket(np.array([[0.0, 0.0], [3.0, 4.0]]))
@@ -165,6 +175,25 @@ class TestHyperbolicDistance:
             assert dh <= de * (1.0 + 1e-12) + 1e-300
             assert de <= cprime * dh + 1e-300
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("x, y", [
+        ([1e200, 0.0], [0.0, 0.0]),  # |x|^2 overflows; this returned nan
+        ([0.0, 0.0], [1e200, 0.0]),
+        ([1.3e154], [-1.3e154]),  # norms in range, [x][y] - <x,y> is not
+    ])
+    def test_overflow_raises(self, x, y):
+        with pytest.raises(DomainError):
+            hyperbolic_distance(x, y)
+        with pytest.raises(DomainError):
+            hyperbolic_distance(np.array([x, np.zeros_like(x)]), y)
+
+    def test_near_overflow_in_range(self):
+        # |x| = 1e150 is inside the guarded range; arcosh(1 + R^2) = log(2 R^2)
+        # to double precision at R = 1e150
+        assert hyperbolic_distance([1e150, 0.0], [0.0, 1e150]) == pytest.approx(
+            math.log(2.0) + 2.0 * math.log(1e150), rel=1e-14
+        )
+
     def test_batched_broadcasting(self):
         rng = np.random.default_rng(5)
         xs = rng.uniform(-5, 5, (4, 3))
@@ -172,6 +201,127 @@ class TestHyperbolicDistance:
         mat = hyperbolic_distance(xs[:, None, :], ys[None, :, :])
         assert mat.shape == (4, 6)
         assert mat[1, 2] == hyperbolic_distance(xs[1], ys[2])
+
+
+def _reference_excess(x, y):
+    """The three-pass formulation the one-pass kernel replaced: |x|^2, |y|^2
+    and <x,y> as separate compensated dot products on the broadcast shape."""
+
+    def two_sum(a, b):
+        s = a + b
+        t = s - a
+        return s, (a - (s - t)) + (b - t)
+
+    def quick_two_sum(a, b):
+        s = a + b
+        return s, b - (s - a)
+
+    def split(a):
+        c = 134217729.0 * a
+        hi = c - (c - a)
+        return hi, a - hi
+
+    def two_prod(a, b):
+        p = a * b
+        ah, al = split(a)
+        bh, bl = split(b)
+        return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+    def dd_add(xh, xl, yh, yl):
+        s, e = two_sum(xh, yh)
+        return quick_two_sum(s, e + xl + yl)
+
+    def dd_mul(xh, xl, yh, yl):
+        p, e = two_prod(xh, yh)
+        return quick_two_sum(p, e + (xh * yl + xl * yh))
+
+    def dd_sqrt(xh, xl):
+        r = np.sqrt(xh)
+        p, e = two_prod(r, r)
+        d = ((xh - p) - e) + xl
+        denom = np.where(r == 0.0, 1.0, 2.0 * r)
+        return quick_two_sum(r, np.where(r == 0.0, 0.0, d / denom))
+
+    def dd_dot(x, y):
+        shape = np.broadcast_shapes(x.shape, y.shape)[:-1]
+        s = np.zeros(shape)
+        c = np.zeros(shape)
+        for i in range(x.shape[-1]):
+            p, pe = two_prod(x[..., i], y[..., i])
+            s, se = two_sum(s, p)
+            c = c + (se + pe)
+        return quick_two_sum(s, c)
+
+    xb, yb = np.broadcast_arrays(x, y)
+    bxh, bxl = dd_sqrt(*dd_add(*dd_dot(xb, xb), 1.0, 0.0))
+    byh, byl = dd_sqrt(*dd_add(*dd_dot(yb, yb), 1.0, 0.0))
+    ph, pl = dd_mul(bxh, bxl, byh, byl)
+    ih, il = dd_dot(xb, yb)
+    sh, sl = dd_add(ph, pl, -ih, -il)
+    sh, sl = dd_add(sh, sl, -1.0, 0.0)
+    s = np.maximum(sh + sl, 0.0)
+    return np.where(np.all(xb == yb, axis=-1), 0.0, s)
+
+
+def _unit(rng, shape):
+    v = rng.standard_normal(shape)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _kernel_pairs(rng, regime, n, d):
+    """n seeded (x, y) pairs of dimension d from one accuracy regime."""
+    if regime == "uniform":
+        return rng.uniform(-10.0, 10.0, (2, n, d))
+    if regime == "nearby":
+        x = rng.uniform(-10.0, 10.0, (n, d))
+        sep = 10.0 ** rng.uniform(-9.0, -3.0, (n, 1))
+        return x, x + sep * _unit(rng, (n, d))
+    if regime == "far_antipodal":
+        r = 10.0 ** rng.uniform(3.0, 8.0, (2, n, 1))
+        u = _unit(rng, (n, d))
+        return r[0] * u, -r[1] * (u + 1e-3 * _unit(rng, (n, d)))
+    if regime == "wide":
+        mag = 10.0 ** rng.uniform(-8.0, 8.0, (2, n, d))
+        return mag * rng.choice([-1.0, 1.0], (2, n, d))
+    if regime == "far_radial":
+        r = 10.0 ** rng.uniform(6.0, 8.0, (n, 1))
+        u = _unit(rng, (n, d))
+        sep = 10.0 ** rng.uniform(-10.0, -6.0, (n, 1))
+        return r * u, (r + sep) * u + sep * _unit(rng, (n, d))
+    raise ValueError(regime)
+
+
+KERNEL_REGIMES = ("uniform", "nearby", "far_antipodal", "wide", "far_radial")
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestMinkowskiExcessKernel:
+    """The one-pass kernel returns the three-pass formulation's bits."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
+    @pytest.mark.parametrize("regime", KERNEL_REGIMES)
+    def test_bit_identical_to_three_pass(self, regime, d):
+        rng = np.random.default_rng([KERNEL_REGIMES.index(regime), d])
+        x, y = _kernel_pairs(rng, regime, 40, d)
+        cases = [(x[0], y[0]), (x[1], y[1]), (x, y), (y, x),
+                 (x[:6, None, :], y[None, :6, :]), (x[:5, None, :], y[7]), (x[9], y)]
+        for a, b in cases:
+            assert _same_bits(_dd.minkowski_excess(a, b), _reference_excess(a, b))
+
+    @pytest.mark.parametrize("regime", KERNEL_REGIMES)
+    def test_swap_symmetric_and_zero_on_equal(self, regime):
+        rng = np.random.default_rng([7, KERNEL_REGIMES.index(regime)])
+        for d in (1, 3, 8):
+            x, y = _kernel_pairs(rng, regime, 30, d)
+            assert _same_bits(_dd.minkowski_excess(x, y), _dd.minkowski_excess(y, x))
+            grid = _dd.minkowski_excess(x[:, None, :], x[None, :, :])
+            assert _same_bits(grid, grid.T)
+            assert np.all(np.diag(grid) == 0.0)
+            assert np.all(_dd.minkowski_excess(y, y) == 0.0)
 
 
 class TestEuclideanDistance:
@@ -309,6 +459,14 @@ class TestEmbeddings:
     def test_poincare_inverse_domain(self):
         with pytest.raises(DomainError):
             poincare_inverse([1.0, 0.0])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_raises(self):
+        # [x] overflowed: the lift's time coordinate was inf and the disk
+        # image the origin
+        for fn in (hyperboloid_embed, poincare_coords):
+            with pytest.raises(DomainError):
+                fn([1e200, 0.0])
 
 
 class TestPointsEqual:

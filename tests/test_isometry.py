@@ -24,7 +24,7 @@ from hgeom import (
     translation_isometry,
 )
 
-from hgeom.isometry import FIT_DISTANCE_TOL
+from hgeom.isometry import APPLY_BLOCK, FIT_DISTANCE_TOL
 
 from util import random_isometry, random_orthogonal
 
@@ -70,6 +70,20 @@ class TestTranslation:
         with pytest.raises(DimensionError):
             translation_apply([1.0, 0.0], [1.0])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("y, x", [
+        ([1e200, 0.0], [1.0, 0.0]),  # [y] overflowed: returned 1.414e200, not 2.414e200
+        ([1.0, 0.0], [1e200, 0.0]),
+        ([1e154, 0.0], [1e154, 0.0]),  # norms in range, the image is not
+    ])
+    def test_overflow_raises(self, y, x):
+        with pytest.raises(DomainError):
+            translation_apply(y, x)
+
+    def test_large_in_range(self):
+        out = translation_apply([1e100, 0.0], [1.0, 0.0])
+        assert out[0] == pytest.approx(1e100 * (1.0 + np.sqrt(2.0)), rel=1e-14)
+
     def test_batched(self):
         rng = np.random.default_rng(1)
         ys = rng.uniform(-5, 5, (100, 3))
@@ -103,6 +117,21 @@ class TestIsometry:
             d0 = hyperbolic_distance(x, y)
             d1 = hyperbolic_distance(isometry_apply(g, x), isometry_apply(g, y))
             assert abs(d1 - d0) <= 1e-9 * (1.0 + d0)
+
+    @pytest.mark.parametrize("d", [2, 64])
+    def test_blocked_batch_matches_pointwise(self, d):
+        # batches spanning several row blocks, with two leading axes, map
+        # each point as the single-point call does
+        rng = np.random.default_rng(d)
+        g = random_isometry(rng, d)
+        rows = 2 * APPLY_BLOCK // d + 3
+        x = rng.uniform(-10, 10, (2, rows, d))
+        out = isometry_apply(g, x)
+        assert out.shape == x.shape
+        for i in rng.choice(rows, 40, replace=False):
+            for k in range(2):
+                one = isometry_apply(g, x[k, i])
+                assert np.max(np.abs(out[k, i] - one)) <= 1e-12 * (1.0 + np.max(np.abs(one)))
 
     def test_rejects_non_orthogonal(self):
         with pytest.raises(GeometryError):
