@@ -41,10 +41,6 @@ __all__ = [
 # Default equality tolerance: absolute 1e-9 plus relative 1e-9.
 DEFAULT_TOL = 1e-9
 
-# Rounding slack for arguments of arccos/arcosh; larger violations are caller
-# bugs and raise DomainError instead of being silently clipped.
-CLAMP_SLACK = 1e-9
-
 
 def as_point(x, name="point"):
     """Coerce ``x`` to a float coordinate array and validate it.
@@ -79,15 +75,6 @@ def _pair(x, y, names=("x", "y")):
 
 def _scalarize(v):
     return float(v) if np.ndim(v) == 0 else v
-
-
-def clamp_to(v, lo, hi, slack=CLAMP_SLACK, what="value"):
-    """Clip ``v`` into [lo, hi], allowing only rounding-level overshoot."""
-    v = np.asarray(v, dtype=float)
-    if np.any(v < lo - slack) or np.any(v > hi + slack):
-        bad = v[(v < lo - slack) | (v > hi + slack)].flat[0]
-        raise DomainError(f"{what} {bad!r} outside [{lo}, {hi}]")
-    return np.clip(v, lo, hi)
 
 
 def require_finite(v, what):

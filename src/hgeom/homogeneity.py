@@ -89,28 +89,25 @@ class OmegaGauge:
         return self.fn(t)
 
 
+# The named example gauges: name -> (elementwise function, limit at infinity
+# on the ray domain).
+_BUILTIN = {
+    "identity": (lambda t: np.asarray(t, dtype=float) + 0.0, math.inf),
+    "sqrt": (lambda t: np.sqrt(np.asarray(t, dtype=float)), math.inf),
+    "square": (lambda t: np.square(np.asarray(t, dtype=float)), math.inf),
+    "saturating": (lambda t: np.asarray(t, dtype=float)
+                   / (1.0 + np.asarray(t, dtype=float)), 1.0),
+}
+
+BUILTIN_GAUGES = tuple(_BUILTIN)
+
+
 def builtin_gauge(name, domain=RAY):
     """One of the named example gauges: identity, sqrt, square, saturating."""
-    limits = None if domain == UNIT else {
-        "identity": math.inf,
-        "sqrt": math.inf,
-        "square": math.inf,
-        "saturating": 1.0,
-    }
-    fns = {
-        "identity": lambda t: np.asarray(t, dtype=float) + 0.0,
-        "sqrt": lambda t: np.sqrt(np.asarray(t, dtype=float)),
-        "square": lambda t: np.square(np.asarray(t, dtype=float)),
-        "saturating": lambda t: np.asarray(t, dtype=float)
-        / (1.0 + np.asarray(t, dtype=float)),
-    }
-    if name not in fns:
-        raise DomainError(f"unknown gauge {name!r}; pick one of {sorted(fns)}")
-    limit = None if limits is None else limits[name]
-    return OmegaGauge(fns[name], domain, limit, label=name)
-
-
-BUILTIN_GAUGES = ("identity", "sqrt", "square", "saturating")
+    if name not in _BUILTIN:
+        raise DomainError(f"unknown gauge {name!r}; pick one of {sorted(_BUILTIN)}")
+    fn, limit = _BUILTIN[name]
+    return OmegaGauge(fn, domain, None if domain == UNIT else limit, label=name)
 
 
 def table_gauge(xs, ys):

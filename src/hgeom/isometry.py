@@ -47,6 +47,10 @@ ORTHO_TOL = 1e-9
 # tol * (1 + distance).
 FIT_DISTANCE_TOL = 1e-6
 
+# Largest entry of |C'C - I| accepted by _decompose_action for the pulled-back
+# basis images C before they are polar-projected.
+DECOMPOSE_DRIFT_TOL = 1e-8
+
 # Coordinates per block of a batched isometry_apply (256 KiB per temporary).
 APPLY_BLOCK = 2**15
 
@@ -141,25 +145,30 @@ def _decompose_action(action, dim):
 
     ``a`` is the image of the origin; the columns of U are the images of the
     standard basis pulled back by T_{-a}, re-orthogonalized by a polar
-    projection to shed rounding drift.
+    projection to shed rounding drift.  Raises DomainError when that drift,
+    max |C'C - I| over those columns C, exceeds ``DECOMPOSE_DRIFT_TOL``.
     """
     pts = np.vstack([np.zeros(dim), np.eye(dim)])
     images = action(pts)
     a = images[0]
     cols = translation_apply(-a, images[1:])
+    drift = float(np.max(np.abs(cols @ cols.T - np.eye(dim))))
+    if not drift <= DECOMPOSE_DRIFT_TOL:
+        raise DomainError(f"decomposed map drifts from orthogonal by {drift:.3e}")
     return Isometry(a, gram.polar_orthogonalize(cols.T))
 
 
 def isometry_compose(g, h):
     """The isometry acting as x -> g(h(x)), in decomposed form.
 
-    Recovered by fitting on the origin plus the standard basis; the
-    decomposition of the composite is unique, so this is well defined.
+    Read off the normal form: ``a = g(h(0))`` and U from the images of the
+    standard basis pulled back by T_{-a}.  The error grows like |a|^2 * eps;
+    raises DomainError once the drift certificate of the decomposition fails
+    (|a| of about 1e4 and beyond).
     """
     if g.dim != h.dim:
         raise DimensionError("cannot compose isometries of different dimensions")
-    pts = np.vstack([np.zeros(g.dim), np.eye(g.dim)])
-    return fit_isometry(pts, isometry_apply(g, isometry_apply(h, pts))).isometry
+    return _decompose_action(lambda p: isometry_apply(g, isometry_apply(h, p)), g.dim)
 
 
 def isometry_invert(g):
@@ -194,8 +203,10 @@ def fit_isometry(source, target, tol=FIT_DISTANCE_TOL):
     is conjugated back and returned in (a, U) form.
 
     Raises :class:`PartialIsometryError` when the distance hypothesis fails,
-    with the offending index pair attached, and when the fitted map misses
-    a target by more than ``tol * (1 + D)``, D the largest source distance.
+    with the offending index pair attached, when the decomposition's drift
+    certificate fails (see ``_decompose_action``), and when the fitted map
+    misses a target by more than ``tol * (1 + D)``, D the largest source
+    distance.
     """
     src = np.atleast_2d(as_point(source, "source"))
     tgt = np.atleast_2d(as_point(target, "target"))
@@ -231,13 +242,11 @@ def fit_isometry(source, target, tol=FIT_DISTANCE_TOL):
     c = translation_apply(-q0, tgt[1:])
     try:
         u, rank = gram.orthogonal_map(b, c)
+        iso = _decompose_action(
+            lambda p: translation_apply(q0, translation_apply(-p0, p) @ u.T), dim
+        )
     except GeometryError as exc:
         raise PartialIsometryError(str(exc)) from exc
-
-    def action(pts):
-        return translation_apply(q0, translation_apply(-p0, pts) @ u.T)
-
-    iso = _decompose_action(action, dim)
     residual = float(np.max(hyperbolic_distance(isometry_apply(iso, src), tgt)))
     bound = tol * (1.0 + dmax)
     if not residual <= bound:

@@ -8,7 +8,7 @@ import pytest
 from hgeom import cli, hyperbolic_distance, isometry_apply
 from hgeom.core import poincare_coords
 
-from util import random_isometry
+from util import drifting_one_point_fit, random_isometry
 
 
 def run(capsys, argv):
@@ -138,6 +138,15 @@ class TestFit:
         code, _, err = run(capsys, ["fit", str(path)])
         assert code == 3
         assert "pair" in err
+
+    def test_decomposition_drift_exits_3(self, capsys, tmp_path):
+        src, tgt = drifting_one_point_fit()
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"source": src.tolist(), "target": tgt.tolist()}))
+        code, out, err = run(capsys, ["fit", str(path)])
+        assert code == 3
+        assert out == ""
+        assert "drifts from orthogonal" in err
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_bad_tolerance_exits_2(self, capsys, tmp_path, tol):

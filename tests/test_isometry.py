@@ -24,9 +24,17 @@ from hgeom import (
     translation_isometry,
 )
 
+from hgeom import isometry
 from hgeom.isometry import APPLY_BLOCK, FIT_DISTANCE_TOL
 
-from util import random_isometry, random_orthogonal
+from util import (
+    drifting_one_point_fit,
+    exact_hyperbolic_distance,
+    exact_isometry_apply,
+    random_isometry,
+    random_orthogonal,
+    random_unit,
+)
 
 TWO_SQRT2 = 2.8284271247461903
 
@@ -200,6 +208,57 @@ class TestComposeInvert:
             isometry_compose(identity_isometry(2), identity_isometry(3))
 
 
+def _isometry_at(rng, dim, amag):
+    """Random isometry whose translation part has length ``amag``."""
+    return Isometry(amag * random_unit(rng, dim), random_orthogonal(rng, dim))
+
+
+def _worst_compose_miss(c, g, h, probes):
+    """Largest 120-digit distance between c(p) and g(h(p)) over the probes."""
+    return max(
+        exact_hyperbolic_distance(
+            exact_isometry_apply(c, p),
+            exact_isometry_apply(g, exact_isometry_apply(h, p)),
+            dps=120,
+        )
+        for p in probes
+    )
+
+
+class TestComposeExact:
+    """Composites checked against a 120-digit evaluation of g(h(p))."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 32])
+    @pytest.mark.parametrize("amag", [1e1, 1e3])
+    def test_matches_chained_action(self, amag, dim):
+        rng = np.random.default_rng(16)
+        for _ in range(3):
+            g = _isometry_at(rng, dim, amag)
+            r = _isometry_at(rng, dim, 0.1)
+            probes = rng.uniform(-1.0, 1.0, (3, dim))
+            for outer, inner in ((g, isometry_invert(g)), (g, r), (r, g)):
+                c = isometry_compose(outer, inner)
+                assert _worst_compose_miss(c, outer, inner, probes) <= 1e-7
+
+    @pytest.mark.parametrize("amag", [1e4, 3e4, 1e5])
+    def test_far_inverse_pair_raises_or_matches(self, amag):
+        # composing with the inverse loses about |a|^2 * eps; once the
+        # decomposition's drift certificate fails the call must raise.  At
+        # this seed, maps returned without that certificate miss by 1e-7 to
+        # 3e-6 at |a| = 3e4 and 1e5.
+        rng = np.random.default_rng(0)
+        for _ in range(2):
+            for dim in (2, 3, 5):
+                g = _isometry_at(rng, dim, amag)
+                gi = isometry_invert(g)
+                probes = rng.uniform(-1.0, 1.0, (3, dim))
+                try:
+                    c = isometry_compose(g, gi)
+                except DomainError:
+                    continue
+                assert _worst_compose_miss(c, g, gi, probes) <= 1e-7
+
+
 class TestFitIsometry:
     def test_identity_pairs(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -279,6 +338,19 @@ class TestFitIsometry:
         bad[2] *= 1.01  # breaks <p2, p2> hence some distance
         with pytest.raises(PartialIsometryError):
             fit_isometry(pts, bad)
+
+    def test_decomposition_drift_raises(self, monkeypatch):
+        src, tgt = drifting_one_point_fit()
+        with pytest.raises(PartialIsometryError, match="drifts from orthogonal"):
+            fit_isometry(src, tgt)
+        # without the certificate the fit passes its residual contract (1e-6)
+        # yet misses its own target in exact arithmetic
+        monkeypatch.setattr(isometry, "DECOMPOSE_DRIFT_TOL", 1.0)
+        res = fit_isometry(src, tgt)
+        miss = exact_hyperbolic_distance(
+            exact_isometry_apply(res.isometry, src[0]), tgt[0], dps=120
+        )
+        assert miss > 1e-7
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
