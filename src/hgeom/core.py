@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _dd
-from .errors import DegenerateInputError, DimensionError, DomainError
+from .errors import DegenerateInputError, DimensionError, DomainError, GeometryError
 
 __all__ = [
     "DEFAULT_TOL",
@@ -42,24 +42,67 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 
+# Public functions whose arithmetic can overflow run under this error state,
+# so the DomainError their require_finite checks raise is not preceded by
+# numpy's RuntimeWarnings.
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
+
+def _reals(x, name):
+    # x as a float array; DomainError for complex or non-numeric entries
+    try:
+        arr = np.asarray(x)
+        if arr.dtype.kind == "c":
+            raise TypeError("complex values")
+        return arr.astype(float, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must hold real numbers ({exc})") from None
+
+
 def as_point(x, name="point"):
     """Coerce ``x`` to a float coordinate array and validate it.
 
     Accepts any array-like of real numbers with at least one coordinate on
     the last axis; rejects complex, non-numeric, NaN and infinite entries.
     """
-    try:
-        arr = np.asarray(x)
-        if arr.dtype.kind == "c":
-            raise TypeError("complex coordinates")
-        arr = arr.astype(float, copy=False)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must hold real numbers ({exc})") from None
+    arr = _reals(x, name)
     if arr.ndim == 0 or arr.shape[-1] < 1:
         raise DimensionError(f"{name} must have at least one coordinate")
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} has non-finite coordinates")
     return arr
+
+
+def _real(v, name):
+    # one finite real number, such as a radius
+    v = _reals(v, name)
+    if v.ndim or not np.isfinite(v):
+        raise DomainError(f"{name} must be a finite real number")
+    return float(v)
+
+
+def _vector(v, name):
+    # one validated coordinate vector, as a read-only copy
+    v = np.array(as_point(v, name))
+    if v.ndim != 1:
+        raise DimensionError(f"{name} must be a single vector")
+    v.setflags(write=False)
+    return v
+
+
+def _point_lists(source, target):
+    # equal-length, equal-dimension lists of at least one point each
+    src = np.atleast_2d(as_point(source, "source"))
+    tgt = np.atleast_2d(as_point(target, "target"))
+    if src.ndim > 2 or tgt.ndim > 2:
+        raise DimensionError("source and target must be lists of points")
+    if src.shape[0] != tgt.shape[0]:
+        raise DimensionError("source and target lists have different lengths")
+    if src.shape[0] < 1:
+        raise GeometryError("need at least one sample point")
+    if src.shape[1] != tgt.shape[1]:
+        raise DimensionError("source and target dimensions differ")
+    return src, tgt
 
 
 def _pair(x, y, names=("x", "y")):
@@ -97,6 +140,7 @@ def _bracket(x):
     return np.hypot(1.0, np.linalg.norm(x, axis=-1))
 
 
+@_quiet_overflow
 def bracket(x):
     """[x] = sqrt(1 + |x|^2), the time coordinate of the hyperboloid lift.
 
@@ -107,6 +151,13 @@ def bracket(x):
     return _scalarize(require_finite(_bracket(x), "[x]"))
 
 
+def _distance(x, y):
+    # hyperbolic distance of validated coordinates
+    s = require_finite(_dd.minkowski_excess(x, y), "[x][y] - <x,y>")
+    return 2.0 * np.arcsinh(np.sqrt(0.5 * s))
+
+
+@_quiet_overflow
 def hyperbolic_distance(x, y):
     """Hyperbolic distance arcosh([x][y] - <x,y>) between coordinate vectors.
 
@@ -117,9 +168,7 @@ def hyperbolic_distance(x, y):
     Symmetric to the bit, and exactly 0 for bit-equal inputs.  Raises
     DomainError when a squared norm or ``[x][y] - <x,y>`` overflows.
     """
-    x, y = _pair(x, y)
-    s = require_finite(_dd.minkowski_excess(x, y), "[x][y] - <x,y>")
-    return _scalarize(2.0 * np.arcsinh(np.sqrt(0.5 * s)))
+    return _scalarize(_distance(*_pair(x, y)))
 
 
 def euclidean_distance(x, y):
@@ -194,6 +243,7 @@ def proj_points_equal(u, v, tol=DEFAULT_TOL):
     return points_equal(u, v, tol) | points_equal(u, -np.asarray(v, float), tol)
 
 
+@_quiet_overflow
 def hyperboloid_embed(x):
     """Lift x to ([x], x), the hyperboloid sheet where [x]^2 - |x|^2 = 1."""
     x = as_point(x)
@@ -201,6 +251,7 @@ def hyperboloid_embed(x):
     return np.concatenate([b[..., None], x], axis=-1)
 
 
+@_quiet_overflow
 def poincare_coords(x):
     """Poincare-ball coordinates x / (1 + [x]); the image has norm < 1."""
     x = as_point(x)

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_point, bracket, hyperbolic_distance, points_equal
+from .core import (_bracket, _pair, _quiet_overflow, _real, _reals, _vector,
+                   hyperbolic_distance, points_equal, require_finite)
 from .errors import DegenerateInputError, DimensionError, DomainError
-from .isometry import isometry_apply, translation_apply
+from .isometry import _apply, _translate
 
 __all__ = [
     "Geodesic",
@@ -46,13 +47,8 @@ __all__ = [
     "line_min_gap",
 ]
 
-_UNIT_TOL = 1e-12
-
-
 def _unit(v, name):
-    v = as_point(v, name)
-    if v.ndim != 1:
-        raise DimensionError(f"{name} must be a single vector")
+    v = _vector(v, name)
     n = np.linalg.norm(v)
     if n < 1e-12:
         raise DegenerateInputError(f"{name} has (near-)zero length")
@@ -70,13 +66,10 @@ class Geodesic:
     z: np.ndarray
 
     def __post_init__(self):
-        a = as_point(self.a, "base point").copy()
-        if a.ndim != 1:
-            raise DimensionError("base point must be a single vector")
+        a = _vector(self.a, "base point")
         z = _unit(self.z, "direction")
         if a.shape != z.shape:
             raise DimensionError("base point and direction dimensions differ")
-        a.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "z", z)
 
@@ -99,12 +92,11 @@ class Angle:
     z2: np.ndarray
 
     def __post_init__(self):
-        vertex = as_point(self.vertex, "vertex").copy()
+        vertex = _vector(self.vertex, "vertex")
         z1 = _unit(self.z1, "first direction")
         z2 = _unit(self.z2, "second direction")
         if not (vertex.shape == z1.shape == z2.shape):
             raise DimensionError("vertex and direction dimensions differ")
-        vertex.setflags(write=False)
         object.__setattr__(self, "vertex", vertex)
         object.__setattr__(self, "z1", z1)
         object.__setattr__(self, "z2", z2)
@@ -112,17 +104,34 @@ class Angle:
 
 def _sinh_cosh_coeff(g: Geodesic):
     # gamma(t) = sinh(t) w + cosh(t) a with w = z + (<z,a>/([a]+1)) a
-    w = g.z + (float(g.z @ g.a) / (bracket(g.a) + 1.0)) * g.a
-    return w, g.a
+    ba = require_finite(_bracket(g.a), "[a]")
+    return g.z + (float(g.z @ g.a) / (ba + 1.0)) * g.a, g.a
 
 
+def _sinh_cosh_point(a, b, t):
+    # sinh(t) a + cosh(t) b for validated vectors a and b; with finite a and
+    # b the point is finite exactly when t is finite and nothing overflows
+    t = _reals(t, "curve parameter")
+    p = np.sinh(t)[..., None] * a + np.cosh(t)[..., None] * b
+    if not np.isfinite(p).all():
+        raise DomainError(
+            "curve point is not finite: t must be finite, and sinh(t) a + "
+            "cosh(t) b must stay within double precision"
+        )
+    return p
+
+
+@_quiet_overflow
 def geodesic_point(g: Geodesic, t):
-    """The point gamma(t) = T_a(sinh(t) z); ``t`` may be an array."""
-    w, a = _sinh_cosh_coeff(g)
-    t = np.asarray(t, dtype=float)
-    return np.sinh(t)[..., None] * w + np.cosh(t)[..., None] * a
+    """The point gamma(t) = T_a(sinh(t) z); ``t`` may be an array.
+
+    Raises DomainError for a non-finite ``t`` and for a point that overflows
+    double precision (cosh(t) |a| beyond ~1.8e308; |t| ~710 at the origin).
+    """
+    return _sinh_cosh_point(*_sinh_cosh_coeff(g), t)
 
 
+@_quiet_overflow
 def line_through(a, b, tol=1e-9):
     """The unique line through two distinct points, based at ``a``.
 
@@ -130,11 +139,10 @@ def line_through(a, b, tol=1e-9):
     moving ``a`` to the origin, so ``geodesic_point`` reaches ``b`` at
     parameter ``hyperbolic_distance(a, b)``.
     """
-    a = as_point(a, "a")
-    b = as_point(b, "b")
+    a, b = _pair(a, b, ("a", "b"))
     if points_equal(a, b, tol):
         raise DegenerateInputError("line through two coincident points is not unique")
-    return Geodesic(a, translation_apply(-a, b))
+    return Geodesic(a, _translate(-a, b))
 
 
 def segment_contains(a, b, x, tol=1e-9):
@@ -176,11 +184,10 @@ def parallel_family(a, b, mu):
     distinct mu give distinct lines - infinitely many parallels through one
     point.
     """
-    a = as_point(a, "a")
-    b = as_point(b, "b")
-    if a.shape != b.shape or a.ndim != 1:
-        raise DimensionError("a and b must be single vectors of equal dimension")
-    mu = float(mu)
+    a, b = _pair(a, b, ("a", "b"))
+    if a.ndim != 1 or b.ndim != 1:
+        raise DimensionError("a and b must be single vectors")
+    mu = _real(mu, "parallel parameter")
     if not abs(mu) > 1.0:
         raise DomainError(f"parallel parameter must satisfy |mu| > 1, got {mu!r}")
     if not _independent(a, b):
@@ -188,6 +195,7 @@ def parallel_family(a, b, mu):
     return Geodesic(np.zeros_like(a), mu * a + b)
 
 
+@_quiet_overflow
 def line_two_vector_form(line: Geodesic, tol=1e-9):
     """Two-vector form (a, b) of a line not through the origin.
 
@@ -201,27 +209,28 @@ def line_two_vector_form(line: Geodesic, tol=1e-9):
     resid = y - float(y @ z) * z
     if np.linalg.norm(resid) <= tol * (1.0 + np.linalg.norm(y)):
         raise DegenerateInputError("line passes through the origin")
-    a = z + (float(z @ y) / (bracket(y) + 1.0)) * y
-    return a, y.copy()
+    return _sinh_cosh_coeff(line)[0], y.copy()
 
 
+@_quiet_overflow
 def two_vector_form_to_line(a, b):
     """Inverse of :func:`line_two_vector_form`: recover the Geodesic whose
     image is {sinh(t) a + cosh(t) b}.  Requires independent vectors."""
-    a = as_point(a, "a")
-    b = as_point(b, "b")
+    a, b = _pair(a, b, ("a", "b"))
     if not _independent(a, b):
         raise DegenerateInputError("a and b must be linearly independent")
-    z = a - (float(a @ b) / (bracket(b) * (bracket(b) + 1.0))) * b
-    return Geodesic(b, z)
+    bb = require_finite(_bracket(b), "[b]")
+    return Geodesic(b, a - (float(a @ b) / (bb * (bb + 1.0))) * b)
 
 
+@_quiet_overflow
 def two_vector_point(a, b, t):
-    """Points sinh(t) a + cosh(t) b of a line in two-vector form."""
-    a = as_point(a, "a")
-    b = as_point(b, "b")
-    t = np.asarray(t, dtype=float)
-    return np.sinh(t)[..., None] * a + np.cosh(t)[..., None] * b
+    """Points sinh(t) a + cosh(t) b of a line in two-vector form.
+
+    Raises DomainError for a non-finite ``t`` and for a point that overflows
+    double precision.
+    """
+    return _sinh_cosh_point(*_pair(a, b, ("a", "b")), t)
 
 
 def angle_measure(angle: Angle):
@@ -251,6 +260,7 @@ def is_right_angle(angle: Angle, tol=1e-9):
     return bool(max(measures) - min(measures) <= tol)
 
 
+@_quiet_overflow
 def transport_angle(g, angle: Angle):
     """The image of an angle under an isometry.
 
@@ -259,28 +269,41 @@ def transport_angle(g, angle: Angle):
     the image rays.
     """
     v = angle.vertex
-    q = isometry_apply(g, v)
+    if v.shape[-1] != g.dim:
+        raise DimensionError("angle dimension does not match the isometry")
+    q = _apply(g, v)
 
     def push(z):
-        return translation_apply(-q, isometry_apply(g, translation_apply(v, z)))
+        return _translate(-q, _apply(g, _translate(v, z)))
 
     return Angle(q, push(angle.z1), push(angle.z2))
 
 
 def sphere_euclidean_radius(r):
     """Euclidean radius sinh(r) of the hyperbolic sphere of radius r around
-    the origin (the two spheres coincide as sets)."""
-    r = float(r)
+    the origin (the two spheres coincide as sets).
+
+    Raises DomainError for a negative or non-finite r, and once sinh(r)
+    overflows double precision (r beyond ~710).
+    """
+    r = _real(r, "radius")
     if r < 0.0:
         raise DomainError(f"radius must be non-negative, got {r!r}")
-    return math.sinh(r)
+    try:
+        return math.sinh(r)
+    except OverflowError:
+        raise DomainError(f"sinh({r!r}) overflows double precision") from None
 
 
+@_quiet_overflow
 def h1_embedding(t):
     """The isometry t -> (sinh t) of the real line onto the one-dimensional
-    hyperbolic space."""
-    t = np.asarray(t, dtype=float)
-    return np.sinh(t)[..., None]
+    hyperbolic space.
+
+    Raises DomainError for a non-finite ``t`` and once sinh(t) overflows
+    double precision (|t| beyond ~710).
+    """
+    return _sinh_cosh_point(np.ones(1), np.zeros(1), t)
 
 
 # Refinement grid: each step evaluates _REFINE_POINTS^2 parameter pairs around

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import gram
 from .core import (
-    as_point,
+    _point_lists,
     euclidean_distance,
     hyperbolic_distance,
     projective_distance,
@@ -350,10 +350,7 @@ def sphere_fit_rotation(source, target, tol=1e-6):
     The construction mirrors the hyperbolic fit: orthonormal frames with
     matching pivots, canonical completion, polar projection.
     """
-    src = np.atleast_2d(as_point(source, "source"))
-    tgt = np.atleast_2d(as_point(target, "target"))
-    if src.shape != tgt.shape:
-        raise DimensionError("source and target shapes differ")
+    src, tgt = _point_lists(source, target)
     scale = float(np.max(np.abs(src @ src.T), initial=0.0))
     if gram.gram_mismatch(src, tgt) > tol * (1.0 + scale):
         return None

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gram
-from .core import _bracket, as_point, hyperbolic_distance, require_finite
+from .core import (_bracket, _distance, _pair, _point_lists, _quiet_overflow, _real,
+                   _reals, _vector, as_point, require_finite)
 from .errors import (
     DimensionError,
     DomainError,
@@ -55,17 +56,8 @@ DECOMPOSE_DRIFT_TOL = 1e-8
 APPLY_BLOCK = 2**15
 
 
-def translation_apply(y, x):
-    """Apply the translation T_y to x (both broadcast over leading axes).
-
-    Satisfies the bracket law [T_y(x)] = [x][y] + <x, y> and is an exact
-    isometry of the hyperbolic distance; T_{-y} is its two-sided inverse.
-    Raises DomainError when a squared norm or the image overflows.
-    """
-    y = as_point(y, "translation parameter")
-    x = as_point(x)
-    if x.shape[-1] != y.shape[-1]:
-        raise DimensionError("translation parameter and point dimensions differ")
+def _translate(y, x):
+    # T_y(x) of validated coordinates
     bx, by = _bracket(x), _bracket(y)
     xy = np.sum(x * y, axis=-1)
     # [T_y(x)] bounds every coordinate of the image; it is inf or NaN when
@@ -73,6 +65,17 @@ def translation_apply(y, x):
     require_finite(bx * by + xy, "[T_y(x)]")
     coeff = bx + xy / (by + 1.0)
     return x + np.asarray(coeff)[..., None] * y
+
+
+@_quiet_overflow
+def translation_apply(y, x):
+    """Apply the translation T_y to x (both broadcast over leading axes).
+
+    Satisfies the bracket law [T_y(x)] = [x][y] + <x, y> and is an exact
+    isometry of the hyperbolic distance; T_{-y} is its two-sided inverse.
+    Raises DomainError when a squared norm or the image overflows.
+    """
+    return _translate(*_pair(y, x, ("translation parameter", "point")))
 
 
 @dataclass(frozen=True)
@@ -87,11 +90,9 @@ class Isometry:
     U: np.ndarray
 
     def __post_init__(self):
-        a = as_point(self.a, "translation part").copy()
-        u = np.array(self.U, dtype=float)
+        a = _vector(self.a, "translation part")
+        u = _reals(self.U, "orthogonal part").copy()
         n = a.shape[-1]
-        if a.ndim != 1:
-            raise DimensionError("translation part must be a single vector")
         if u.shape != (n, n):
             raise DimensionError(f"orthogonal part must be {n}x{n}, got {u.shape}")
         if not np.all(np.isfinite(u)):
@@ -101,7 +102,6 @@ class Isometry:
             raise GeometryError(
                 f"matrix is not orthogonal (max |U'U - I| = {drift:.3e})"
             )
-        a.setflags(write=False)
         u.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "U", u)
@@ -122,6 +122,17 @@ def translation_isometry(y):
     return Isometry(y, np.eye(y.shape[-1]))
 
 
+def _apply(g, x):
+    # g(x) of validated coordinates, in blocks of rows
+    rows = x.reshape(-1, g.dim)
+    out = np.empty_like(rows)
+    step = max(1, APPLY_BLOCK // g.dim)
+    for i in range(0, len(rows), step):
+        out[i:i + step] = _translate(g.a, rows[i:i + step] @ g.U.T)
+    return out.reshape(x.shape)
+
+
+@_quiet_overflow
 def isometry_apply(g, x):
     """Apply g to a point or a batch of points.
 
@@ -132,12 +143,7 @@ def isometry_apply(g, x):
     x = as_point(x)
     if x.shape[-1] != g.dim:
         raise DimensionError("point dimension does not match the isometry")
-    rows = x.reshape(-1, g.dim)
-    out = np.empty_like(rows)
-    step = max(1, APPLY_BLOCK // g.dim)
-    for i in range(0, len(rows), step):
-        out[i:i + step] = translation_apply(g.a, rows[i:i + step] @ g.U.T)
-    return out.reshape(x.shape)
+    return _apply(g, x)
 
 
 def _decompose_action(action, dim):
@@ -151,13 +157,14 @@ def _decompose_action(action, dim):
     pts = np.vstack([np.zeros(dim), np.eye(dim)])
     images = action(pts)
     a = images[0]
-    cols = translation_apply(-a, images[1:])
+    cols = _translate(-a, images[1:])
     drift = float(np.max(np.abs(cols @ cols.T - np.eye(dim))))
     if not drift <= DECOMPOSE_DRIFT_TOL:
         raise DomainError(f"decomposed map drifts from orthogonal by {drift:.3e}")
     return Isometry(a, gram.polar_orthogonalize(cols.T))
 
 
+@_quiet_overflow
 def isometry_compose(g, h):
     """The isometry acting as x -> g(h(x)), in decomposed form.
 
@@ -168,7 +175,7 @@ def isometry_compose(g, h):
     """
     if g.dim != h.dim:
         raise DimensionError("cannot compose isometries of different dimensions")
-    return _decompose_action(lambda p: isometry_apply(g, isometry_apply(h, p)), g.dim)
+    return _decompose_action(lambda p: _apply(g, _apply(h, p)), g.dim)
 
 
 def isometry_invert(g):
@@ -192,6 +199,7 @@ class FitResult:
     max_residual: float
 
 
+@_quiet_overflow
 def fit_isometry(source, target, tol=FIT_DISTANCE_TOL):
     """Extend the correspondence source[i] -> target[i] to a global isometry.
 
@@ -208,16 +216,7 @@ def fit_isometry(source, target, tol=FIT_DISTANCE_TOL):
     misses a target by more than ``tol * (1 + D)``, D the largest source
     distance.
     """
-    src = np.atleast_2d(as_point(source, "source"))
-    tgt = np.atleast_2d(as_point(target, "target"))
-    if src.ndim > 2 or tgt.ndim > 2:
-        raise DimensionError("source and target must be lists of points")
-    if src.shape[0] != tgt.shape[0]:
-        raise DimensionError("source and target lists have different lengths")
-    if src.shape[0] < 1:
-        raise GeometryError("need at least one sample point")
-    if src.shape[1] != tgt.shape[1]:
-        raise DimensionError("source and target dimensions differ")
+    src, tgt = _point_lists(source, target)
     if not 0.0 <= tol < math.inf:
         raise DomainError(f"fit tolerance must be finite and >= 0, got {tol!r}")
     dim = src.shape[1]
@@ -226,7 +225,7 @@ def fit_isometry(source, target, tol=FIT_DISTANCE_TOL):
     if src.shape[0] > 1:
         # source and target distance grids in one kernel call
         pts = np.stack([src, tgt])
-        ds, dt = hyperbolic_distance(pts[:, :, None, :], pts[:, None, :, :])
+        ds, dt = _distance(pts[:, :, None, :], pts[:, None, :, :])
         gap = np.abs(ds - dt) - tol * (1.0 + ds)
         if np.any(gap > 0.0):
             i, j = np.unravel_index(np.argmax(gap), gap.shape)
@@ -238,16 +237,14 @@ def fit_isometry(source, target, tol=FIT_DISTANCE_TOL):
         dmax = float(np.max(ds))
 
     p0, q0 = src[0], tgt[0]
-    b = translation_apply(-p0, src[1:])
-    c = translation_apply(-q0, tgt[1:])
+    b = _translate(-p0, src[1:])
+    c = _translate(-q0, tgt[1:])
     try:
         u, rank = gram.orthogonal_map(b, c)
-        iso = _decompose_action(
-            lambda p: translation_apply(q0, translation_apply(-p0, p) @ u.T), dim
-        )
+        iso = _decompose_action(lambda p: _translate(q0, _translate(-p0, p) @ u.T), dim)
     except GeometryError as exc:
         raise PartialIsometryError(str(exc)) from exc
-    residual = float(np.max(hyperbolic_distance(isometry_apply(iso, src), tgt)))
+    residual = float(np.max(_distance(_apply(iso, src), tgt)))
     bound = tol * (1.0 + dmax)
     if not residual <= bound:
         raise PartialIsometryError(
@@ -263,15 +260,23 @@ def dilation_residual(c, t):
     negative, and an orthogonal pair at the same radius to the analogous
     relation scaled by c; that forces this residual to vanish for every t.
     It is identically 0 only for c = 1, which is why every dilation of the
-    space (in dimension > 1) is an isometry.
+    space (in dimension > 1) is an isometry.  Raises DomainError when c or t
+    is not finite, or when the residual overflows double precision.
     """
-    c = float(c)
-    t = float(t)
+    c = _real(c, "dilation constant")
+    t = _real(t, "residual argument")
     if not c > 0.0:
         raise DomainError(f"dilation constant must be positive, got {c!r}")
     if t < 1.0 - 1e-9:
         raise DomainError(f"residual argument must be >= 1, got {t!r}")
     t = max(t, 1.0)
-    lhs = math.cosh(c * math.acosh(t * t))
-    rhs = math.cosh(c * math.acosh(t)) ** 2
-    return abs(lhs - rhs)
+    try:
+        residual = abs(math.cosh(c * math.acosh(t * t))
+                       - math.cosh(c * math.acosh(t)) ** 2)
+    except OverflowError:
+        residual = math.inf
+    if not math.isfinite(residual):
+        raise DomainError(
+            f"dilation residual at c={c!r}, t={t!r} overflows double precision"
+        )
+    return residual

@@ -209,6 +209,15 @@ class TestRigidity:
         code, _, _ = run(capsys, ["rigidity", "--t", "0.5"])
         assert code == 2
 
+    # --t 1e300 exited 1 with a traceback; nan printed nan
+    @pytest.mark.parametrize("argv", [
+        ["--t", "1e300"], ["--t", "nan"], ["--c", "inf"],
+    ])
+    def test_overflow_and_non_finite_exit_2(self, capsys, argv):
+        code, _, err = run(capsys, ["rigidity", *argv])
+        assert code == 2
+        assert err.startswith("error:")
+
 
 class TestOmega:
     def test_sqrt_passes(self, capsys):
@@ -262,6 +271,13 @@ class TestCounterexampleAndSphereRadius:
     def test_sphere_radius_negative_exits_2(self, capsys):
         code, _, _ = run(capsys, ["sphere-radius", "--", "-1"])
         assert code == 2
+
+    # 1000 exited 1 with a traceback; nan exited 0 and printed nan
+    @pytest.mark.parametrize("r", ["1000", "nan", "inf"])
+    def test_sphere_radius_overflow_and_non_finite_exit_2(self, capsys, r):
+        code, _, err = run(capsys, ["sphere-radius", r])
+        assert code == 2
+        assert err.startswith("error:")
 
 
 class TestDeterminism:

@@ -55,7 +55,6 @@ class TestBracket:
         assert math.isfinite(bracket([1e150]))
         assert bracket([1e150]) == pytest.approx(1e150, rel=1e-12)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_raises(self):
         # |x|^2 passes the double range; this returned inf
         with pytest.raises(DomainError):
@@ -175,7 +174,6 @@ class TestHyperbolicDistance:
             assert dh <= de * (1.0 + 1e-12) + 1e-300
             assert de <= cprime * dh + 1e-300
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("x, y", [
         ([1e200, 0.0], [0.0, 0.0]),  # |x|^2 overflows; this returned nan
         ([0.0, 0.0], [1e200, 0.0]),
@@ -460,7 +458,6 @@ class TestEmbeddings:
         with pytest.raises(DomainError):
             poincare_inverse([1.0, 0.0])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_raises(self):
         # [x] overflowed: the lift's time coordinate was inf and the disk
         # image the origin

@@ -9,6 +9,7 @@ import pytest
 from hgeom import (
     Angle,
     DegenerateInputError,
+    DimensionError,
     DomainError,
     Geodesic,
     angle_measure,
@@ -76,6 +77,47 @@ class TestGeodesicPoint:
     def test_zero_direction_rejected(self):
         with pytest.raises(DegenerateInputError):
             Geodesic(np.zeros(2), np.zeros(2))
+
+
+# the three curves that take a parameter t from the caller
+CURVES = {
+    "geodesic_point": lambda t: geodesic_point(Geodesic(np.array([0.5, -1.0]), E1), t),
+    "two_vector_point": lambda t: two_vector_point(E1, E2, t),
+    "h1_embedding": h1_embedding,
+}
+
+
+class TestCurveParameter:
+    # t = 800 returned inf or NaN coordinates, and a NaN t NaN ones
+    @pytest.mark.parametrize("curve", sorted(CURVES))
+    @pytest.mark.parametrize("t", [
+        np.nan, np.inf, -np.inf, 800.0, -800.0, [0.0, np.nan], [0.0, 800.0], 1j, "t",
+    ])
+    def test_rejected(self, curve, t):
+        with pytest.raises(DomainError):
+            CURVES[curve](t)
+
+    @pytest.mark.parametrize("curve", sorted(CURVES))
+    def test_large_in_range(self, curve):
+        p = CURVES[curve](np.array([-700.0, 700.0]))
+        assert np.all(np.isfinite(p))
+
+
+class TestDimensionChecks:
+    # mismatched two-vector forms raised numpy's broadcasting or matmul
+    # ValueError
+    def test_two_vector_point(self):
+        with pytest.raises(DimensionError):
+            two_vector_point(E1, [0.0, 1.0, 0.0], 1.0)
+
+    def test_two_vector_form_to_line(self):
+        with pytest.raises(DimensionError):
+            two_vector_form_to_line(E1, [0.0, 1.0, 0.0])
+
+    def test_transport_angle(self):
+        angle = Angle(np.array([0.1, 0.2]), E1, E2)
+        with pytest.raises(DimensionError):
+            transport_angle(random_isometry(np.random.default_rng(0), 3), angle)
 
 
 class TestLineThrough:
@@ -277,9 +319,11 @@ class TestParallelFamily:
         cross = g1.z[0] * g2.z[1] - g1.z[1] * g2.z[0]
         assert abs(cross) > 1e-6
 
-    def test_mu_gate(self):
+    # 2j raised TypeError
+    @pytest.mark.parametrize("mu", [1.0, np.nan, np.inf, 2j])
+    def test_mu_gate(self, mu):
         with pytest.raises(DomainError):
-            parallel_family(E1, E2, 1.0)
+            parallel_family(E1, E2, mu)
 
     def test_dependent_vectors_rejected(self):
         with pytest.raises(DegenerateInputError):
@@ -391,6 +435,12 @@ class TestSpheresAndH1:
     def test_negative_radius_rejected(self):
         with pytest.raises(DomainError):
             sphere_euclidean_radius(-0.1)
+
+    # nan returned nan; 1000 raised OverflowError
+    @pytest.mark.parametrize("r", [np.nan, np.inf, 711.0, 1000.0, 1j])
+    def test_non_finite_and_overflow_rejected(self, r):
+        with pytest.raises(DomainError):
+            sphere_euclidean_radius(r)
 
     def test_h1_zero(self):
         assert np.array_equal(h1_embedding(0.0), [0.0])

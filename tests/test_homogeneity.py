@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hgeom import (
+    DimensionError,
     DomainError,
     OmegaGauge,
     OmegaReport,
@@ -317,6 +318,12 @@ class TestSphereFitRotation:
             sphere_fit_rotation(broken, pts)
         with pytest.raises(DomainError):
             sphere_fit_rotation(pts, broken)
+
+    def test_rejects_point_arrays_that_are_not_lists(self):
+        # raised numpy's matmul ValueError
+        pts = np.zeros((2, 2, 3))
+        with pytest.raises(DimensionError):
+            sphere_fit_rotation(pts, pts)
 
     def test_counterexample_triples_unmatchable(self):
         rec = projective_counterexample(2)

@@ -24,7 +24,7 @@ from hgeom import (
     translation_isometry,
 )
 
-from hgeom import isometry
+from hgeom import core, geodesy, isometry
 from hgeom.isometry import APPLY_BLOCK, FIT_DISTANCE_TOL
 
 from util import (
@@ -78,7 +78,6 @@ class TestTranslation:
         with pytest.raises(DimensionError):
             translation_apply([1.0, 0.0], [1.0])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("y, x", [
         ([1e200, 0.0], [1.0, 0.0]),  # [y] overflowed: returned 1.414e200, not 2.414e200
         ([1.0, 0.0], [1e200, 0.0]),
@@ -153,6 +152,14 @@ class TestIsometry:
     def test_rejects_non_finite_orthogonal_part(self, bad):
         with pytest.raises(GeometryError):
             Isometry(np.zeros(2), np.array([[bad, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("u", [
+        np.diag([1.0, 1.0 + 1e-3j]),  # was cast to its real part and accepted
+        [["1", "0"], ["0", "x"]],  # raised numpy's ValueError
+    ])
+    def test_rejects_non_real_orthogonal_part(self, u):
+        with pytest.raises(DomainError):
+            Isometry(np.zeros(2), u)
 
 
 class TestComposeInvert:
@@ -445,3 +452,61 @@ class TestDilationResidual:
             dilation_residual(2.0, 0.5)
         with pytest.raises(DomainError):
             dilation_residual(-1.0, 2.0)
+
+    @pytest.mark.parametrize("c, t", [
+        (2.0, np.nan),  # returned nan
+        (np.nan, 2.0),
+        (np.inf, 2.0),  # returned nan
+        (2.0, np.inf),
+        (2.0, 1e300),  # raised OverflowError
+        (0.5, 1e300),  # returned inf
+        (1e300, 2.0),
+        (1 + 1j, 2.0),
+    ])
+    def test_non_finite_and_overflow_raise(self, c, t):
+        with pytest.raises(DomainError):
+            dilation_residual(c, t)
+
+
+@pytest.fixture
+def as_point_calls(monkeypatch):
+    """Counts the input validations (``as_point`` calls) a call makes."""
+    calls = []
+    real = core.as_point
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in (core, isometry, geodesy):
+        if hasattr(mod, "as_point"):
+            monkeypatch.setattr(mod, "as_point", counted)
+    return calls
+
+
+class TestValidateOnce:
+    # a public function validates its inputs once and then runs private
+    # cores (these counts were 20 per fit, 9 per compose and 3 per apply)
+    def test_fit(self, as_point_calls):
+        rng = np.random.default_rng(40)
+        src = rng.uniform(-2.0, 2.0, (6, 3))
+        tgt = isometry_apply(random_isometry(rng, 3), src)
+        as_point_calls.clear()
+        fit_isometry(src, tgt)
+        assert len(as_point_calls) <= 3
+
+    def test_compose(self, as_point_calls):
+        rng = np.random.default_rng(41)
+        g, h = random_isometry(rng, 4), random_isometry(rng, 4)
+        as_point_calls.clear()
+        isometry_compose(g, h)
+        assert len(as_point_calls) <= 1
+
+    @pytest.mark.parametrize("n", [1, 2 * APPLY_BLOCK])
+    def test_apply(self, as_point_calls, n):
+        rng = np.random.default_rng(42)
+        g = random_isometry(rng, 2)
+        x = rng.uniform(-2.0, 2.0, (n, 2))
+        as_point_calls.clear()
+        isometry_apply(g, x)
+        assert len(as_point_calls) == 1
