@@ -319,9 +319,13 @@ class TestParallelFamily:
         cross = g1.z[0] * g2.z[1] - g1.z[1] * g2.z[0]
         assert abs(cross) > 1e-6
 
+    def test_mu_gate(self):
+        with pytest.raises(DomainError):
+            parallel_family(E1, E2, 1.0)
+
     # 2j raised TypeError
-    @pytest.mark.parametrize("mu", [1.0, np.nan, np.inf, 2j])
-    def test_mu_gate(self, mu):
+    @pytest.mark.parametrize("mu", [np.nan, np.inf, 2j])
+    def test_mu_gate_non_finite_or_complex(self, mu):
         with pytest.raises(DomainError):
             parallel_family(E1, E2, mu)
 
