@@ -61,6 +61,16 @@ def dd_sqrt(xh, xl):
     return quick_two_sum(r, (((xh - p) - e) + xl) / (2.0 * r))
 
 
+def _columns(x):
+    """The coordinates of x one at a time, each read once into contiguous
+    memory: Python floats for a single point (whose arithmetic is several
+    times cheaper than numpy scalars'), contiguous column copies otherwise.
+    Both run the same IEEE operations as strided columns would, bit for bit."""
+    if x.ndim == 1:
+        return x.tolist()
+    return (np.ascontiguousarray(x[..., i]) for i in range(x.shape[-1]))
+
+
 def minkowski_excess(x, y):
     """sqrt(1+|x|^2)*sqrt(1+|y|^2) - <x,y> - 1, clamped to >= 0.
 
@@ -73,15 +83,13 @@ def minkowski_excess(x, y):
 
     |x|^2, |y|^2 and <x,y> are compensated dot products (Dot2 of Ogita, Rump
     and Oishi) accumulated in one pass over the coordinates, in coordinate
-    order: each coordinate is split once, and the squared norms are taken on
-    each operand's own shape, so only <x,y> runs on the broadcast shape.
+    order: each coordinate is read once as a contiguous column and split
+    once, and the squared norms are taken on each operand's own shape, so only
+    <x,y> runs on the broadcast shape.
     """
     # running sums and error sums of |x|^2, |y|^2 and <x,y>
     xs = xc = ys = yc = ps = pc = 0.0
-    for i in range(x.shape[-1]):
-        # [()] turns the 0-d slices of single points into numpy scalars,
-        # whose arithmetic is several times cheaper than 0-d arrays'
-        a, b = x[..., i][()], y[..., i][()]
+    for a, b in zip(_columns(x), _columns(y), strict=True):
         ah, al = _split(a)
         bh, bl = _split(b)
         p = a * a

@@ -135,6 +135,14 @@ def require_finite(v, what):
     return v
 
 
+def _scaled(v):
+    # (w, e) with w = v / 2**e exactly, where 2**e is the power of two just
+    # above max|v| over the last axis (e = 0 for v = 0): the squares of w
+    # cannot overflow, so norms of w are safe
+    e = np.frexp(np.max(np.abs(v), axis=-1, keepdims=True))[1]
+    return np.ldexp(v, -e), e
+
+
 def _bracket(x):
     # [x] of validated coordinates; inf once |x|^2 overflows
     return np.hypot(1.0, np.linalg.norm(x, axis=-1))
@@ -171,19 +179,28 @@ def hyperbolic_distance(x, y):
     return _scalarize(_distance(*_pair(x, y)))
 
 
+@_quiet_overflow
 def euclidean_distance(x, y):
-    """Plain Euclidean distance |x - y|."""
+    """Plain Euclidean distance |x - y|.
+
+    The norm is taken of x - y rescaled by a power of two, so it overflows
+    only with x - y itself (or with |x - y| beyond ~1.8e308); then DomainError.
+    """
     x, y = _pair(x, y)
-    return _scalarize(np.linalg.norm(x - y, axis=-1))
+    w, e = _scaled(x - y)
+    d = np.ldexp(np.linalg.norm(w, axis=-1), e[..., 0])
+    if not np.isfinite(d).all():
+        raise DomainError("|x - y| overflows double precision")
+    return _scalarize(d)
 
 
 def sphere_point(v):
     """Normalize ``v`` onto the unit sphere of its ambient space."""
-    v = as_point(v, "sphere point")
-    n = np.linalg.norm(v, axis=-1, keepdims=True)
+    w = _scaled(as_point(v, "sphere point"))[0]
+    n = np.linalg.norm(w, axis=-1, keepdims=True)
     if np.any(n == 0.0):
         raise DegenerateInputError("cannot normalize the zero vector")
-    return v / n
+    return w / n
 
 
 def _check_unit(x, name, tol=1e-6):

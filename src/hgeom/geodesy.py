@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_bracket, _pair, _quiet_overflow, _real, _reals, _vector,
-                   hyperbolic_distance, points_equal, require_finite)
+from .core import (_bracket, _distance, _pair, _quiet_overflow, _real, _reals,
+                   _scaled, _vector, as_point, hyperbolic_distance, points_equal,
+                   require_finite)
 from .errors import DegenerateInputError, DimensionError, DomainError
 from .isometry import _apply, _translate
 
@@ -47,12 +48,15 @@ __all__ = [
     "line_min_gap",
 ]
 
+@_quiet_overflow
 def _unit(v, name):
-    v = _vector(v, name)
-    n = np.linalg.norm(v)
-    if n < 1e-12:
+    # normalized through the exactly rescaled w = v / 2**e, whose norm cannot
+    # overflow; |v| itself may be inf here, which is not near zero
+    w, e = _scaled(_vector(v, name))
+    n = np.linalg.norm(w)
+    if np.ldexp(n, e[0]) < 1e-12:
         raise DegenerateInputError(f"{name} has (near-)zero length")
-    u = v / n
+    u = w / n
     u.setflags(write=False)
     return u
 
@@ -145,6 +149,7 @@ def line_through(a, b, tol=1e-9):
     return Geodesic(a, _translate(-a, b))
 
 
+@_quiet_overflow
 def segment_contains(a, b, x, tol=1e-9):
     """Whether x lies on the metric segment between a and b.
 
@@ -152,8 +157,12 @@ def segment_contains(a, b, x, tol=1e-9):
     equality: d(a, x) + d(x, b) = d(a, b) within ``tol`` (absolute plus
     relative).
     """
-    d_ab = hyperbolic_distance(a, b)
-    defect = hyperbolic_distance(a, x) + hyperbolic_distance(x, b) - d_ab
+    a, b = _pair(a, b, ("a", "b"))
+    x = as_point(x, "x")
+    if x.shape[-1] != a.shape[-1]:
+        raise DimensionError("x and the segment's endpoints have different dimensions")
+    d_ab = _distance(a, b)
+    defect = _distance(a, x) + _distance(x, b) - d_ab
     return bool(abs(defect) <= tol * (1.0 + d_ab))
 
 
@@ -205,11 +214,12 @@ def line_two_vector_form(line: Geodesic, tol=1e-9):
     the origin.
     """
     y, z = line.a, line.z
+    a = _sinh_cosh_coeff(line)[0]  # DomainError once [y] overflows
     # the line passes through the origin iff y lies in the span of z
     resid = y - float(y @ z) * z
     if np.linalg.norm(resid) <= tol * (1.0 + np.linalg.norm(y)):
         raise DegenerateInputError("line passes through the origin")
-    return _sinh_cosh_coeff(line)[0], y.copy()
+    return a, y.copy()
 
 
 @_quiet_overflow
@@ -233,29 +243,33 @@ def two_vector_point(a, b, t):
     return _sinh_cosh_point(*_pair(a, b, ("a", "b")), t)
 
 
+def _chord_angle(z1, z2):
+    # angle between unit vectors in the atan2 chord form (exact 0 and pi at
+    # the degenerate ends)
+    return float(
+        2.0 * math.atan2(np.linalg.norm(z1 - z2), np.linalg.norm(z1 + z2))
+    )
+
+
 def angle_measure(angle: Angle):
     """Measure in [0, pi] of the angle between the two rays.
 
     The stored directions already live in the frame translated to the
-    origin, where the measure is the Euclidean angle between them; evaluated
-    in the atan2 chord form (exact 0 and pi at the degenerate ends).
+    origin, where the measure is the Euclidean angle between them.
     """
-    z1, z2 = angle.z1, angle.z2
-    return float(
-        2.0 * math.atan2(np.linalg.norm(z1 - z2), np.linalg.norm(z1 + z2))
-    )
+    return _chord_angle(angle.z1, angle.z2)
 
 
 def is_right_angle(angle: Angle, tol=1e-9):
     """Whether the angle is right: the four angles formed with the opposite
     rays (z1, z2), (-z2, z1), (z2, -z1), (-z1, -z2) are pairwise congruent,
     which happens exactly at measure pi/2."""
-    v, z1, z2 = angle.vertex, angle.z1, angle.z2
+    z1, z2 = angle.z1, angle.z2
     measures = [
-        angle_measure(Angle(v, z1, z2)),
-        angle_measure(Angle(v, -z2, z1)),
-        angle_measure(Angle(v, z2, -z1)),
-        angle_measure(Angle(v, -z1, -z2)),
+        _chord_angle(z1, z2),
+        _chord_angle(-z2, z1),
+        _chord_angle(z2, -z1),
+        _chord_angle(-z1, -z2),
     ]
     return bool(max(measures) - min(measures) <= tol)
 
@@ -312,6 +326,9 @@ def h1_embedding(t):
 # best pair.
 _REFINE_POINTS = 9
 _REFINE_SHRINK = 4.0
+# A refinement window is flat to rounding once each of its values is within
+# _FLAT_RTOL * best of the best one; refining further cannot lower the gap.
+_FLAT_RTOL = 4.0 * np.finfo(float).eps
 
 
 def curve_min_gap(curve_a, curve_b, span=10.0, samples=10_000):
@@ -321,9 +338,11 @@ def curve_min_gap(curve_a, curve_b, span=10.0, samples=10_000):
     parameter square [-span, span]^2 is scanned on a grid of ~``samples``
     cells, then the best pair is refined by a shrinking-window grid search:
     each step evaluates a small grid around the best pair in one batched
-    distance call and shrinks the window until its half-width reaches
-    rounding level.  On a convex gap, such as the distance between two
-    disjoint lines, the result is accurate to rounding.  Returns
+    distance call and shrinks the window, stopping as soon as every value of
+    a window is within ``4 eps`` (relative) of the best one, or else once its
+    half-width reaches rounding level (intersecting curves, whose gap tends
+    to 0).  On a convex gap, such as the distance between two disjoint lines,
+    the result is accurate to rounding.  Returns
     ``(gap, s, t)``, where ``gap`` is the distance between ``curve_a(s)`` and
     ``curve_b(t)``.
 
@@ -341,6 +360,10 @@ def curve_min_gap(curve_a, curve_b, span=10.0, samples=10_000):
         i, j = np.unravel_index(np.argmin(dmat), dmat.shape)
         if dmat[i, j] < best:
             best, s, t = float(dmat[i, j]), float(ss[i]), float(tt[j])
+        # refinement windows only: they hold the best pair, the coarse grid
+        # need not
+        if ss is not ts and dmat.max() - best <= _FLAT_RTOL * best:
+            return best, s, t
         if not half > 1e-15 * (1.0 + abs(s) + abs(t)):  # also stops on NaN
             return best, s, t
         ss = np.clip(s + half * offsets, -span, span)

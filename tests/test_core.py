@@ -321,6 +321,33 @@ class TestMinkowskiExcessKernel:
             assert np.all(np.diag(grid) == 0.0)
             assert np.all(_dd.minkowski_excess(y, y) == 0.0)
 
+    @pytest.mark.parametrize("layout", [
+        "fortran", "transposed", "reversed", "every_other_row", "broadcast", "3d",
+    ])
+    def test_bit_identical_on_any_layout(self, layout):
+        # the kernel copies each coordinate column into contiguous memory;
+        # strides, order and zero strides must not change a bit
+        rng = np.random.default_rng([11, len(layout)])
+        x, y = rng.uniform(-10.0, 10.0, (2, 40, 8))
+        if layout == "fortran":
+            x, y = np.asfortranarray(x), np.asfortranarray(y)
+        elif layout == "transposed":
+            x, y = np.ascontiguousarray(x.T).T, np.ascontiguousarray(y.T).T
+        elif layout == "reversed":
+            x, y = x[::-1], y[::-1]
+        elif layout == "every_other_row":
+            x, y = x[::2], y[::2]
+        elif layout == "broadcast":
+            x, y = np.broadcast_to(x[3], x.shape), np.broadcast_to(y[:, :1], y.shape)
+        else:
+            x, y = x.reshape(5, 8, 8), y.reshape(5, 8, 8)
+        p = rng.uniform(-10.0, 10.0, 8)
+        for a, b in ((x, y), (x, p), (p, y)):
+            assert _same_bits(_dd.minkowski_excess(a, b), _reference_excess(a, b))
+        d = hyperbolic_distance(x[(0,) * (x.ndim - 1)], p)
+        assert type(d) is float
+        assert d == hyperbolic_distance(np.ascontiguousarray(x)[(0,) * (x.ndim - 1)], p)
+
 
 class TestEuclideanDistance:
     def test_identity(self):
@@ -337,6 +364,31 @@ class TestEuclideanDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             euclidean_distance([1.0, 2.0], [1.0])
+
+    def test_huge_in_range(self):
+        # |x - y|^2 overflows; this returned inf
+        assert euclidean_distance([1e200, 0.0], [0.0, 0.0]) == 1e200
+        assert euclidean_distance([3e300, 4e300], [0.0, 0.0]) == 5e300
+
+    @pytest.mark.parametrize("x, y", [
+        ([1e308], [-1e308]),  # x - y overflows
+        ([1.5e308, 1.5e308], [0.0, 0.0]),  # |x - y| overflows
+    ])
+    def test_overflow_raises(self, x, y):
+        with pytest.raises(DomainError):
+            euclidean_distance(x, y)
+
+
+class TestSpherePoint:
+    def test_huge_vector_normalized(self):
+        # |v|^2 overflows; this returned [0, 0]
+        u = sphere_point([1e200, 1e200])
+        assert np.allclose(u, [math.sqrt(0.5)] * 2, rtol=0, atol=1e-15)
+
+    def test_bits_match_plain_normalization(self):
+        # the power-of-two rescaling is exact
+        v = np.random.default_rng(3).uniform(-10.0, 10.0, (50, 4))
+        assert _same_bits(sphere_point(v), v / np.linalg.norm(v, axis=-1, keepdims=True))
 
 
 class TestSphereDistance:

@@ -31,6 +31,8 @@ from hgeom import (
     two_vector_point,
 )
 
+from hgeom import geodesy
+
 from util import random_isometry, random_unit
 
 SINH_1 = 1.1752011936438014
@@ -78,6 +80,11 @@ class TestGeodesicPoint:
         with pytest.raises(DegenerateInputError):
             Geodesic(np.zeros(2), np.zeros(2))
 
+    def test_huge_direction_normalized(self):
+        # |z|^2 overflows; this returned [0, 0]
+        z = Geodesic(np.zeros(2), np.array([1e200, 1e200])).z
+        assert np.allclose(z, [math.sqrt(0.5)] * 2, rtol=0, atol=1e-15)
+
 
 # the three curves that take a parameter t from the caller
 CURVES = {
@@ -113,6 +120,10 @@ class TestDimensionChecks:
     def test_two_vector_form_to_line(self):
         with pytest.raises(DimensionError):
             two_vector_form_to_line(E1, [0.0, 1.0, 0.0])
+
+    def test_segment_contains(self):
+        with pytest.raises(DimensionError):
+            segment_contains(E1, E2, [0.0, 1.0, 0.0])
 
     def test_transport_angle(self):
         angle = Angle(np.array([0.1, 0.2]), E1, E2)
@@ -278,6 +289,45 @@ def exact_ultraparallel_gap(a, b, mu, dps=60):
         return float(mp.acosh(abs(mink(n1, n2)) / mp.sqrt(mink(n1, n1) * mink(n2, n2))))
 
 
+def ultraparallel_problem(seed):
+    """A seeded line in two-vector form (a, b) and a parallel parameter mu."""
+    rng = np.random.default_rng(100 + seed)
+    phi = rng.uniform(0.0, 2.0 * math.pi)
+    ang = phi + rng.uniform(math.radians(30.0), math.radians(150.0))
+    b = rng.uniform(0.3, 2.5) * np.array([math.cos(phi), math.sin(phi)])
+    z = np.array([math.cos(ang), math.sin(ang)])
+    a, b = line_two_vector_form(Geodesic(b, z))
+    mu = rng.choice([-1.0, 1.0]) * rng.uniform(1.2, 4.0)
+    return a, b, mu
+
+
+class TestGapScanStops:
+    def test_flat_window_stops_early(self, monkeypatch):
+        # a refinement window flat to rounding ends the scan (25 distance
+        # calls when only the half-width stop applied)
+        calls = []
+        real = geodesy.hyperbolic_distance
+
+        def counted(x, y):
+            calls.append(1)
+            return real(x, y)
+
+        monkeypatch.setattr(geodesy, "hyperbolic_distance", counted)
+        a, b, mu = ultraparallel_problem(0)
+        gap, _, _ = line_min_gap(parallel_family(a, b, mu), two_vector_form_to_line(a, b))
+        assert abs(gap - exact_ultraparallel_gap(a, b, mu)) <= 1e-12 * gap
+        assert len(calls) <= 17
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_intersecting_lines_gap_tends_to_zero(self, seed):
+        # best tends to 0, so the half-width stop ends this scan
+        rng = np.random.default_rng(seed)
+        p = rng.uniform(-2.0, 2.0, 2)
+        g1 = Geodesic(p, random_unit(rng, 2))
+        g2 = Geodesic(p, random_unit(rng, 2))
+        assert line_min_gap(g1, g2)[0] < 1e-14
+
+
 class TestParallelFamily:
     def test_direction_for_mu_two(self):
         g = parallel_family(E1, E2, 2.0)
@@ -292,13 +342,7 @@ class TestParallelFamily:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_scans_match_exact_ultraparallel_gap(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        ang = phi + rng.uniform(math.radians(30.0), math.radians(150.0))
-        b = rng.uniform(0.3, 2.5) * np.array([math.cos(phi), math.sin(phi)])
-        z = np.array([math.cos(ang), math.sin(ang)])
-        a, b = line_two_vector_form(Geodesic(b, z))
-        mu = rng.choice([-1.0, 1.0]) * rng.uniform(1.2, 4.0)
+        a, b, mu = ultraparallel_problem(seed)
         exact = exact_ultraparallel_gap(a, b, mu)
         g1 = parallel_family(a, b, mu)
         g2 = two_vector_form_to_line(a, b)
@@ -363,6 +407,12 @@ class TestTwoVectorForm:
         g = Geodesic(np.array([0.5, -1.0]), random_unit(np.random.default_rng(10), 2))
         _, b = line_two_vector_form(g)
         assert np.array_equal(b, g.a)
+
+    def test_huge_base_point_overflow_raises(self):
+        # |y| overflows; this raised DegenerateInputError for a line that
+        # misses the origin
+        with pytest.raises(DomainError):
+            line_two_vector_form(Geodesic(np.array([0.0, 1e200]), E1))
 
     def test_line_through_origin_rejected(self):
         with pytest.raises(DegenerateInputError):

@@ -510,3 +510,17 @@ class TestValidateOnce:
         as_point_calls.clear()
         isometry_apply(g, x)
         assert len(as_point_calls) == 1
+
+    def test_is_right_angle(self, as_point_calls):
+        # measured from the angle's stored directions (was 12 calls)
+        angle = geodesy.Angle(np.array([0.5, -1.0]), [1.0, 0.0], [0.0, 1.0])
+        as_point_calls.clear()
+        assert geodesy.is_right_angle(angle)
+        assert len(as_point_calls) == 0
+
+    def test_segment_contains(self, as_point_calls):
+        # one check per point (was 6 calls)
+        a, b = np.array([0.5, -1.0]), np.array([2.0, 1.0])
+        as_point_calls.clear()
+        assert geodesy.segment_contains(a, b, a)
+        assert len(as_point_calls) == 3
