@@ -5,137 +5,19 @@ metric, its isometries, geodesics, angles, and spheres all have closed forms
 in these coordinates.  The package also carries the great-circle and
 projective metrics on the sphere and the ω-gauge machinery for snowflaking
 metrics, with numerically testable contracts throughout.
+
+Each module's ``__all__`` lists its public names; the package re-exports
+them all.
 """
 
-from .core import (
-    DEFAULT_TOL,
-    as_point,
-    bracket,
-    euclidean_distance,
-    hyperbolic_distance,
-    hyperboloid_embed,
-    poincare_coords,
-    poincare_inverse,
-    points_equal,
-    proj_point,
-    proj_points_equal,
-    projective_distance,
-    sphere_distance,
-    sphere_point,
-)
-from .errors import (
-    ConvergenceError,
-    DegenerateInputError,
-    DimensionError,
-    DomainError,
-    GeometryError,
-    PartialIsometryError,
-)
-from .geodesy import (
-    Angle,
-    Geodesic,
-    angle_measure,
-    curve_min_gap,
-    geodesic_point,
-    h1_embedding,
-    is_right_angle,
-    line_min_gap,
-    line_through,
-    line_two_vector_form,
-    metrically_collinear,
-    parallel_family,
-    segment_contains,
-    sphere_euclidean_radius,
-    transport_angle,
-    two_vector_form_to_line,
-    two_vector_point,
-)
-from .homogeneity import (
-    OmegaGauge,
-    OmegaReport,
-    OmegaViolation,
-    ProjectiveCounterexample,
-    builtin_gauge,
-    normalize_euclidean_gauge,
-    omega_validate,
-    projective_counterexample,
-    snowflake_distance,
-    sphere_fit_rotation,
-    table_gauge,
-)
-from .isometry import (
-    FitResult,
-    Isometry,
-    dilation_residual,
-    fit_isometry,
-    identity_isometry,
-    isometry_apply,
-    isometry_compose,
-    isometry_invert,
-    translation_apply,
-    translation_isometry,
-)
+from . import core, errors, geodesy, homogeneity, isometry
+from .core import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .geodesy import *  # noqa: F401,F403
+from .homogeneity import *  # noqa: F401,F403
+from .isometry import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_TOL",
-    "__version__",
-    "as_point",
-    "bracket",
-    "euclidean_distance",
-    "hyperbolic_distance",
-    "hyperboloid_embed",
-    "poincare_coords",
-    "poincare_inverse",
-    "points_equal",
-    "proj_point",
-    "proj_points_equal",
-    "projective_distance",
-    "sphere_distance",
-    "sphere_point",
-    "ConvergenceError",
-    "DegenerateInputError",
-    "DimensionError",
-    "DomainError",
-    "GeometryError",
-    "PartialIsometryError",
-    "Angle",
-    "Geodesic",
-    "angle_measure",
-    "curve_min_gap",
-    "geodesic_point",
-    "h1_embedding",
-    "is_right_angle",
-    "line_min_gap",
-    "line_through",
-    "line_two_vector_form",
-    "metrically_collinear",
-    "parallel_family",
-    "segment_contains",
-    "sphere_euclidean_radius",
-    "transport_angle",
-    "two_vector_form_to_line",
-    "two_vector_point",
-    "OmegaGauge",
-    "OmegaReport",
-    "OmegaViolation",
-    "ProjectiveCounterexample",
-    "builtin_gauge",
-    "normalize_euclidean_gauge",
-    "omega_validate",
-    "projective_counterexample",
-    "snowflake_distance",
-    "sphere_fit_rotation",
-    "table_gauge",
-    "FitResult",
-    "Isometry",
-    "dilation_residual",
-    "fit_isometry",
-    "identity_isometry",
-    "isometry_apply",
-    "isometry_compose",
-    "isometry_invert",
-    "translation_apply",
-    "translation_isometry",
-]
+__all__ = ["__version__", *core.__all__, *errors.__all__, *geodesy.__all__,
+           *homogeneity.__all__, *isometry.__all__]

@@ -42,7 +42,7 @@ def _parse_point(text):
 
 
 def _check_dim(args, *points):
-    if getattr(args, "dim", None) is not None:
+    if args.dim is not None:
         for p in points:
             if p.shape[-1] != args.dim:
                 raise GeometryError(
@@ -234,8 +234,10 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--exact", action="store_true",
                         help="print 17 significant digits instead of 15")
-    common.add_argument("--dim", type=int, default=None,
-                        help="expected point dimension (validated when given)")
+    # for the subcommands that read points from the command line
+    dims = argparse.ArgumentParser(add_help=False)
+    dims.add_argument("--dim", type=int, default=None,
+                      help="expected point dimension (validated when given)")
 
     parser = argparse.ArgumentParser(
         prog="hgeom",
@@ -244,14 +246,15 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dist", parents=[common], help="distance between two points")
+    p = sub.add_parser("dist", parents=[common, dims],
+                       help="distance between two points")
     p.add_argument("--metric", default="hyperbolic",
                    choices=["hyperbolic", "euclidean", "sphere", "projective"])
     p.add_argument("x")
     p.add_argument("y")
     p.set_defaults(func=cmd_dist)
 
-    p = sub.add_parser("geodesic", parents=[common],
+    p = sub.add_parser("geodesic", parents=[common, dims],
                        help="sample the geodesic between two points as CSV")
     p.add_argument("a")
     p.add_argument("b")
@@ -264,7 +267,7 @@ def build_parser():
     p.add_argument("--tol", type=float, default=isometry.FIT_DISTANCE_TOL)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("parallel", parents=[common],
+    p = sub.add_parser("parallel", parents=[common, dims],
                        help="disjoint lines through the origin for a "
                             "two-vector-form line")
     p.add_argument("a")
@@ -290,6 +293,8 @@ def build_parser():
 
     p = sub.add_parser("counterexample", parents=[common],
                        help="the projective 3-point rigidity failure")
+    p.add_argument("--dim", type=int, default=2,
+                   help="dimension of the ambient sphere (default 2)")
     p.set_defaults(func=cmd_counterexample)
 
     p = sub.add_parser("sphere-radius", parents=[common],
@@ -307,9 +312,6 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    # counterexample reuses --dim as the ambient sphere dimension
-    if args.command == "counterexample" and args.dim is None:
-        args.dim = 2
     try:
         return args.func(args)
     except PartialIsometryError as exc:

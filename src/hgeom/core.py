@@ -209,6 +209,7 @@ def _check_unit(x, name, tol=1e-6):
         raise DomainError(f"{name} is not a unit vector (|{name}| = {n!r})")
 
 
+@_quiet_overflow
 def sphere_distance(x, y):
     """Great-circle distance (1/pi) * arccos(<x, y>) between unit vectors.
 
@@ -232,6 +233,7 @@ def proj_point(v):
     return sphere_point(v)
 
 
+@_quiet_overflow
 def projective_distance(u, v):
     """Projective distance (2/pi) * arccos(|<u, v>|) between antipodal classes.
 
@@ -247,6 +249,7 @@ def projective_distance(u, v):
     return _scalarize(2.0 * theta / np.pi)
 
 
+@_quiet_overflow
 def points_equal(x, y, tol=DEFAULT_TOL):
     """Coordinate-wise equality within absolute + relative ``tol``."""
     x, y = _pair(x, y)
@@ -276,6 +279,7 @@ def poincare_coords(x):
     return x / (1.0 + b[..., None])
 
 
+@_quiet_overflow
 def poincare_inverse(p):
     """Inverse of :func:`poincare_coords`: p -> 2p / (1 - |p|^2)."""
     p = as_point(p, "poincare point")

@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "GeometryError",
+    "DimensionError",
+    "DomainError",
+    "DegenerateInputError",
+    "PartialIsometryError",
+    "ConvergenceError",
+]
+
 
 class GeometryError(ValueError):
     """Base class for all geometric input errors."""

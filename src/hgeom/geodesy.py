@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_bracket, _distance, _pair, _quiet_overflow, _real, _reals,
-                   _scaled, _vector, as_point, hyperbolic_distance, points_equal,
-                   require_finite)
+from .core import (DEFAULT_TOL, _bracket, _distance, _pair, _quiet_overflow, _real,
+                   _reals, _scaled, _vector, as_point, hyperbolic_distance,
+                   points_equal, require_finite)
 from .errors import DegenerateInputError, DimensionError, DomainError
 from .isometry import _apply, _translate
 
@@ -149,6 +149,12 @@ def line_through(a, b, tol=1e-9):
     return Geodesic(a, _translate(-a, b))
 
 
+def _between(d_long, d1, d2, tol):
+    # the triangle inequality d1 + d2 >= d_long is an equality within tol
+    # (absolute plus relative): the middle point lies on the long side
+    return abs(d1 + d2 - d_long) <= tol * (1.0 + d_long)
+
+
 @_quiet_overflow
 def segment_contains(a, b, x, tol=1e-9):
     """Whether x lies on the metric segment between a and b.
@@ -161,22 +167,24 @@ def segment_contains(a, b, x, tol=1e-9):
     x = as_point(x, "x")
     if x.shape[-1] != a.shape[-1]:
         raise DimensionError("x and the segment's endpoints have different dimensions")
-    d_ab = _distance(a, b)
-    defect = _distance(a, x) + _distance(x, b) - d_ab
-    return bool(abs(defect) <= tol * (1.0 + d_ab))
+    return bool(_between(_distance(a, b), _distance(a, x), _distance(x, b), tol))
 
 
+@_quiet_overflow
 def metrically_collinear(a, b, c, tol=1e-9):
     """Whether some ordering of the three points achieves additivity of
     distances (all three middle-point choices are tried)."""
-    return (
-        segment_contains(a, c, b, tol)
-        or segment_contains(b, c, a, tol)
-        or segment_contains(a, b, c, tol)
-    )
+    a, c = _pair(a, c, ("a", "c"))
+    b = as_point(b, "b")
+    if b.shape[-1] != a.shape[-1]:
+        raise DimensionError("b and the other points have different dimensions")
+    ab, ac, bc = _distance(a, b), _distance(a, c), _distance(b, c)
+    return bool(_between(ac, ab, bc, tol) or _between(bc, ab, ac, tol)
+                or _between(ab, ac, bc, tol))
 
 
 def _independent(a, b, tol=1e-12):
+    a, b = _scaled(a)[0], _scaled(b)[0]  # exact rescaling: the norms cannot overflow
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:
         return False
@@ -185,6 +193,7 @@ def _independent(a, b, tol=1e-12):
     return det > tol
 
 
+@_quiet_overflow
 def parallel_family(a, b, mu):
     """The line through the origin with direction (mu*a + b), |mu| > 1.
 
@@ -225,12 +234,18 @@ def line_two_vector_form(line: Geodesic, tol=1e-9):
 @_quiet_overflow
 def two_vector_form_to_line(a, b):
     """Inverse of :func:`line_two_vector_form`: recover the Geodesic whose
-    image is {sinh(t) a + cosh(t) b}.  Requires independent vectors."""
+    image is {sinh(t) a + cosh(t) b}.  Requires independent vectors that form
+    a line: the lifted tangent at b has Minkowski norm |a|^2 - (<a,b>/[b])^2
+    = 1 within ``DEFAULT_TOL * (1 + |a|^2)``, or DomainError is raised."""
     a, b = _pair(a, b, ("a", "b"))
     if not _independent(a, b):
         raise DegenerateInputError("a and b must be linearly independent")
     bb = require_finite(_bracket(b), "[b]")
-    return Geodesic(b, a - (float(a @ b) / (bb * (bb + 1.0))) * b)
+    aa, ab = require_finite(float(a @ a), "|a|^2"), float(a @ b)
+    norm = aa - (ab / bb) ** 2
+    if not abs(norm - 1.0) <= DEFAULT_TOL * (1.0 + aa):  # also raises on NaN
+        raise DomainError(f"not a line: its tangent's Minkowski norm is {norm:.3e}, not 1")
+    return Geodesic(b, a - (ab / (bb * (bb + 1.0))) * b)
 
 
 @_quiet_overflow
@@ -264,14 +279,11 @@ def is_right_angle(angle: Angle, tol=1e-9):
     """Whether the angle is right: the four angles formed with the opposite
     rays (z1, z2), (-z2, z1), (z2, -z1), (-z1, -z2) are pairwise congruent,
     which happens exactly at measure pi/2."""
-    z1, z2 = angle.z1, angle.z2
-    measures = [
-        _chord_angle(z1, z2),
-        _chord_angle(-z2, z1),
-        _chord_angle(z2, -z1),
-        _chord_angle(-z1, -z2),
-    ]
-    return bool(max(measures) - min(measures) <= tol)
+    # (z2, -z1) repeats (-z2, z1) and (-z1, -z2) repeats (z1, z2) bit for
+    # bit, because negating a vector leaves |u - v| and |u + v| unchanged
+    straight = _chord_angle(angle.z1, angle.z2)
+    turned = _chord_angle(-angle.z2, angle.z1)
+    return bool(abs(straight - turned) <= tol)
 
 
 @_quiet_overflow

@@ -21,7 +21,9 @@ import numpy as np
 
 from . import gram
 from .core import (
+    _check_unit,
     _point_lists,
+    _quiet_overflow,
     euclidean_distance,
     hyperbolic_distance,
     projective_distance,
@@ -343,14 +345,18 @@ def projective_counterexample(n=2):
     return ProjectiveCounterexample(x, y, z1, z2, float(margin), verified)
 
 
+@_quiet_overflow
 def sphere_fit_rotation(source, target, tol=1e-6):
     """Orthogonal matrix mapping source[i] -> target[i] on the sphere, or
-    ``None`` when the Gram matrices differ beyond tolerance.
+    ``None`` when the Gram matrices differ beyond tolerance.  Points must be
+    unit vectors; any other point raises DomainError.
 
     The construction mirrors the hyperbolic fit: orthonormal frames with
     matching pivots, canonical completion, polar projection.
     """
     src, tgt = _point_lists(source, target)
+    _check_unit(src, "source")
+    _check_unit(tgt, "target")
     scale = float(np.max(np.abs(src @ src.T), initial=0.0))
     if gram.gram_mismatch(src, tgt) > tol * (1.0 + scale):
         return None

@@ -89,6 +89,7 @@ class Isometry:
     a: np.ndarray
     U: np.ndarray
 
+    @_quiet_overflow
     def __post_init__(self):
         a = _vector(self.a, "translation part")
         u = _reals(self.U, "orthogonal part").copy()

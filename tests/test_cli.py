@@ -263,6 +263,13 @@ class TestCounterexampleAndSphereRadius:
         assert code == 0
         assert len(json.loads(out)["x"]) == 6
 
+    # only dist, geodesic, parallel (point dimension) and counterexample
+    # (sphere dimension) read --dim; the others accepted and ignored it
+    @pytest.mark.parametrize("argv", [["omega"], ["rigidity"], ["sphere-radius", "1"]])
+    def test_dim_rejected_where_unused(self, capsys, argv):
+        code, _, _ = run(capsys, [*argv, "--dim", "3"])
+        assert code == 2
+
     def test_sphere_radius(self, capsys):
         code, out, _ = run(capsys, ["sphere-radius", "0"])
         assert code == 0

@@ -231,6 +231,71 @@ class TestSegmentsAndCollinearity:
             assert gap <= 1e-6
 
 
+def segment_reference(a, b, x, tol=1e-9):
+    # the segment rule as three public distance calls
+    d_ab = hyperbolic_distance(a, b)
+    defect = hyperbolic_distance(a, x) + hyperbolic_distance(x, b) - d_ab
+    return abs(defect) <= tol * (1.0 + d_ab)
+
+
+def collinear_reference(a, b, c, tol=1e-9):
+    # each middle-point choice through the segment rule, nine distances
+    return (segment_reference(a, c, b, tol) or segment_reference(b, c, a, tol)
+            or segment_reference(a, b, c, tol))
+
+
+def right_angle_reference(angle, tol=1e-9):
+    # all four angles with the opposite rays, each measured in chord form
+    def chord(u, v):
+        return 2.0 * math.atan2(np.linalg.norm(u - v), np.linalg.norm(u + v))
+
+    z1, z2 = angle.z1, angle.z2
+    measures = [chord(z1, z2), chord(-z2, z1), chord(z2, -z1), chord(-z1, -z2)]
+    return max(measures) - min(measures) <= tol
+
+
+class TestMatchesReferenceFormulations:
+    # the shared _between rule and the two distinct chord angles give the
+    # booleans of the formulations above, on the line and off it by 1e-10,
+    # 3e-5 (where the defect is near tol) and 1e-3
+    DIMS = (1, 2, 3, 8, 64)
+    OFFSETS = (0.0, 1e-10, 3e-5, 1e-3)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_segment_and_collinear(self, dim):
+        rng = np.random.default_rng(500 + dim)
+        seen = set()
+        for _ in range(12):
+            a, b = rng.uniform(-3, 3, (2, dim))
+            d = hyperbolic_distance(a, b)
+            for t in (0.0, rng.uniform(0.0, 1.0), 1.0):
+                on = geodesic_point(line_through(a, b), t * d)
+                for eps in self.OFFSETS:
+                    x = on + eps * random_unit(rng, dim)
+                    got = segment_contains(a, b, x)
+                    assert got == segment_reference(a, b, x)
+                    seen.add(got)
+                    for p, q, r in ((a, b, x), (x, a, b), (b, x, a)):
+                        got = metrically_collinear(p, q, r)
+                        assert got == collinear_reference(p, q, r)
+        assert seen == {True, False} or dim == 1
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_right_angle(self, dim):
+        rng = np.random.default_rng(600 + dim)
+        seen = set()
+        for _ in range(40):
+            z1, r = random_unit(rng, dim), random_unit(rng, dim)
+            w = r - float(r @ z1) * z1
+            normal = w / np.linalg.norm(w) if dim > 1 else r
+            for z2 in [r] + [normal + eps * z1 for eps in self.OFFSETS]:
+                angle = Angle(rng.uniform(-3, 3, dim), z1, z2)
+                got = is_right_angle(angle)
+                assert got == right_angle_reference(angle)
+                seen.add(got)
+        assert seen == {True, False} or dim == 1
+
+
 class TestTwoLinesIntersect:
     def test_intersecting_lines_share_one_point(self):
         # two distinct lines through a common point: the near-intersection
@@ -377,6 +442,13 @@ class TestParallelFamily:
         with pytest.raises(DegenerateInputError):
             parallel_family(E1, 2.0 * E1, 2.0)
 
+    def test_huge_independent_vectors(self):
+        # |a| and |b| overflowed in the independence test, which then read
+        # NaN and raised DegenerateInputError
+        a, b = np.array([1e200, 1e200]), np.array([1e200, 0.9e200])
+        g = parallel_family(a, b, 2.0)
+        assert np.allclose(g.z, np.array([3.0, 2.9]) / math.hypot(3.0, 2.9), atol=1e-15)
+
 
 class TestTwoVectorForm:
     def test_translated_axis_line(self):
@@ -429,6 +501,26 @@ class TestTwoVectorForm:
         assert np.allclose(
             geodesic_point(back, ts), geodesic_point(g, ts), atol=1e-9, rtol=1e-9
         )
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 64])
+    def test_round_trip_at_every_dimension(self, dim):
+        rng = np.random.default_rng(700 + dim)
+        for _ in range(20):
+            g = Geodesic(rng.uniform(-3, 3, dim), random_unit(rng, dim))
+            back = two_vector_form_to_line(*line_two_vector_form(g))
+            assert np.array_equal(back.a, g.a)
+            assert np.allclose(back.z, g.z, atol=1e-12)
+
+    @pytest.mark.parametrize("a, b", [
+        ([2.0, 0.5], [0.3, 1.0]),  # a curve with |a|^2 - (<a,b>/[b])^2 = 3.67
+        ([0.5, 0.0], [0.0, 1.0]),  # 0.25
+        ([1e200, 0.0], [0.0, 1.0]),  # |a|^2 overflows
+    ])
+    def test_pairs_that_are_not_lines_rejected(self, a, b):
+        # {sinh(t) a + cosh(t) b} is a line only when the Minkowski norm of
+        # its lifted tangent is 1; such pairs came back as a Geodesic
+        with pytest.raises(DomainError):
+            two_vector_form_to_line(a, b)
 
 
 class TestAngles:

@@ -319,6 +319,14 @@ class TestSphereFitRotation:
         with pytest.raises(DomainError):
             sphere_fit_rotation(pts, broken)
 
+    def test_rejects_points_off_the_sphere(self):
+        # the Gram gate's bound tol * (1 + max|Gram|) overflowed to inf, so
+        # this returned the identity
+        with pytest.raises(DomainError):
+            sphere_fit_rotation([[1e200, 0.0]], [[1.0, 0.0]])
+        with pytest.raises(DomainError):
+            sphere_fit_rotation([[1.0, 0.0]], [[2.0, 0.0]])
+
     def test_rejects_point_arrays_that_are_not_lists(self):
         # raised numpy's matmul ValueError
         pts = np.zeros((2, 2, 3))

@@ -524,3 +524,18 @@ class TestValidateOnce:
         as_point_calls.clear()
         assert geodesy.segment_contains(a, b, a)
         assert len(as_point_calls) == 3
+
+    def test_metrically_collinear(self, as_point_calls, monkeypatch):
+        # one check per point and one distance per pair (were 9 and 9)
+        distances = []
+        real = geodesy._distance
+
+        def counted(x, y):
+            distances.append(1)
+            return real(x, y)
+
+        monkeypatch.setattr(geodesy, "_distance", counted)
+        as_point_calls.clear()
+        assert not geodesy.metrically_collinear(np.zeros(2), [1.0, 0.0], [0.0, 1.0])
+        assert len(as_point_calls) == 3
+        assert len(distances) == 3
