@@ -16,6 +16,8 @@ points.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from . import _dd
@@ -38,7 +40,7 @@ __all__ = [
     "poincare_inverse",
 ]
 
-# Default equality tolerance: absolute 1e-9 plus relative 1e-9.
+# The one equality tolerance of the predicates: absolute 1e-9 plus relative 1e-9.
 DEFAULT_TOL = 1e-9
 
 
@@ -79,6 +81,18 @@ def _real(v, name):
     if v.ndim or not np.isfinite(v):
         raise DomainError(f"{name} must be a finite real number")
     return float(v)
+
+
+def _count(v, name, minimum, below=DomainError):
+    # a Python or numpy integer, as an int: DomainError for anything else,
+    # ``below`` for an integer under ``minimum``
+    try:
+        n = operator.index(v)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {v!r}") from None
+    if n < minimum:
+        raise below(f"{name} must be at least {minimum}, got {n}")
+    return n
 
 
 def _vector(v, name):
@@ -203,9 +217,9 @@ def sphere_point(v):
     return w / n
 
 
-def _check_unit(x, name, tol=1e-6):
+def _check_unit(x, name):
     n = np.linalg.norm(x, axis=-1)
-    if np.any(np.abs(n - 1.0) > tol):
+    if np.any(np.abs(n - 1.0) > 1e-6):
         raise DomainError(f"{name} is not a unit vector (|{name}| = {n!r})")
 
 
@@ -250,17 +264,19 @@ def projective_distance(u, v):
 
 
 @_quiet_overflow
-def points_equal(x, y, tol=DEFAULT_TOL):
-    """Coordinate-wise equality within absolute + relative ``tol``."""
+def points_equal(x, y):
+    """Coordinate-wise equality within absolute + relative ``DEFAULT_TOL``."""
     x, y = _pair(x, y)
+    tol = DEFAULT_TOL
     close = np.abs(x - y) <= tol + tol * np.maximum(np.abs(x), np.abs(y))
     out = np.all(close, axis=-1)
     return bool(out) if np.ndim(out) == 0 else out
 
 
-def proj_points_equal(u, v, tol=DEFAULT_TOL):
-    """Equality of antipodal classes: representatives agree up to sign."""
-    return points_equal(u, v, tol) | points_equal(u, -np.asarray(v, float), tol)
+def proj_points_equal(u, v):
+    """Equality of antipodal classes: representatives agree up to sign
+    (within ``DEFAULT_TOL``, as :func:`points_equal`)."""
+    return points_equal(u, v) | points_equal(u, -np.asarray(v, float))
 
 
 @_quiet_overflow

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, _bracket, _distance, _pair, _quiet_overflow, _real,
-                   _reals, _scaled, _vector, as_point, hyperbolic_distance,
+from .core import (DEFAULT_TOL, _bracket, _count, _distance, _pair, _quiet_overflow,
+                   _real, _reals, _scaled, _vector, as_point, hyperbolic_distance,
                    points_equal, require_finite)
 from .errors import DegenerateInputError, DimensionError, DomainError
 from .isometry import _apply, _translate
@@ -136,61 +136,63 @@ def geodesic_point(g: Geodesic, t):
 
 
 @_quiet_overflow
-def line_through(a, b, tol=1e-9):
+def line_through(a, b):
     """The unique line through two distinct points, based at ``a``.
 
     The direction is the normalized image of ``b`` under the translation
     moving ``a`` to the origin, so ``geodesic_point`` reaches ``b`` at
-    parameter ``hyperbolic_distance(a, b)``.
+    parameter ``hyperbolic_distance(a, b)``.  Points equal within
+    ``DEFAULT_TOL`` (see :func:`points_equal`) raise DegenerateInputError.
     """
     a, b = _pair(a, b, ("a", "b"))
-    if points_equal(a, b, tol):
+    if points_equal(a, b):
         raise DegenerateInputError("line through two coincident points is not unique")
     return Geodesic(a, _translate(-a, b))
 
 
-def _between(d_long, d1, d2, tol):
-    # the triangle inequality d1 + d2 >= d_long is an equality within tol
-    # (absolute plus relative): the middle point lies on the long side
-    return abs(d1 + d2 - d_long) <= tol * (1.0 + d_long)
+def _between(d_long, d1, d2):
+    # the triangle inequality d1 + d2 >= d_long is an equality within
+    # DEFAULT_TOL (absolute plus relative): the middle point lies on the long
+    # side
+    return abs(d1 + d2 - d_long) <= DEFAULT_TOL * (1.0 + d_long)
 
 
 @_quiet_overflow
-def segment_contains(a, b, x, tol=1e-9):
+def segment_contains(a, b, x):
     """Whether x lies on the metric segment between a and b.
 
     True exactly when the triangle inequality through x degenerates to
-    equality: d(a, x) + d(x, b) = d(a, b) within ``tol`` (absolute plus
-    relative).
+    equality: d(a, x) + d(x, b) = d(a, b) within ``DEFAULT_TOL`` (absolute
+    plus relative).
     """
     a, b = _pair(a, b, ("a", "b"))
     x = as_point(x, "x")
     if x.shape[-1] != a.shape[-1]:
         raise DimensionError("x and the segment's endpoints have different dimensions")
-    return bool(_between(_distance(a, b), _distance(a, x), _distance(x, b), tol))
+    return bool(_between(_distance(a, b), _distance(a, x), _distance(x, b)))
 
 
 @_quiet_overflow
-def metrically_collinear(a, b, c, tol=1e-9):
+def metrically_collinear(a, b, c):
     """Whether some ordering of the three points achieves additivity of
-    distances (all three middle-point choices are tried)."""
+    distances within ``DEFAULT_TOL``, as in :func:`segment_contains` (all
+    three middle-point choices are tried)."""
     a, c = _pair(a, c, ("a", "c"))
     b = as_point(b, "b")
     if b.shape[-1] != a.shape[-1]:
         raise DimensionError("b and the other points have different dimensions")
     ab, ac, bc = _distance(a, b), _distance(a, c), _distance(b, c)
-    return bool(_between(ac, ab, bc, tol) or _between(bc, ab, ac, tol)
-                or _between(ab, ac, bc, tol))
+    return bool(_between(ac, ab, bc) or _between(bc, ab, ac) or _between(ab, ac, bc))
 
 
-def _independent(a, b, tol=1e-12):
+def _independent(a, b):
     a, b = _scaled(a)[0], _scaled(b)[0]  # exact rescaling: the norms cannot overflow
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:
         return False
     # Gram determinant of the normalized pair = sin^2 of their angle
     det = 1.0 - (float(a @ b) / (na * nb)) ** 2
-    return det > tol
+    return det > 1e-12
 
 
 @_quiet_overflow
@@ -214,19 +216,20 @@ def parallel_family(a, b, mu):
 
 
 @_quiet_overflow
-def line_two_vector_form(line: Geodesic, tol=1e-9):
+def line_two_vector_form(line: Geodesic):
     """Two-vector form (a, b) of a line not through the origin.
 
     For the line T_y(sinh(t) z) the image set equals
     {sinh(t) a + cosh(t) b} with a = z + (<z, y>/([y]+1)) y and b = y;
     the two vectors are linearly independent exactly because the line misses
-    the origin.
+    the origin.  A line whose base point lies in the span of its direction
+    within ``DEFAULT_TOL * (1 + |y|)`` raises DegenerateInputError.
     """
     y, z = line.a, line.z
     a = _sinh_cosh_coeff(line)[0]  # DomainError once [y] overflows
     # the line passes through the origin iff y lies in the span of z
     resid = y - float(y @ z) * z
-    if np.linalg.norm(resid) <= tol * (1.0 + np.linalg.norm(y)):
+    if np.linalg.norm(resid) <= DEFAULT_TOL * (1.0 + np.linalg.norm(y)):
         raise DegenerateInputError("line passes through the origin")
     return a, y.copy()
 
@@ -275,15 +278,16 @@ def angle_measure(angle: Angle):
     return _chord_angle(angle.z1, angle.z2)
 
 
-def is_right_angle(angle: Angle, tol=1e-9):
+def is_right_angle(angle: Angle):
     """Whether the angle is right: the four angles formed with the opposite
-    rays (z1, z2), (-z2, z1), (z2, -z1), (-z1, -z2) are pairwise congruent,
-    which happens exactly at measure pi/2."""
+    rays (z1, z2), (-z2, z1), (z2, -z1), (-z1, -z2) are pairwise congruent
+    (their measures agree within ``DEFAULT_TOL``), which happens exactly at
+    measure pi/2."""
     # (z2, -z1) repeats (-z2, z1) and (-z1, -z2) repeats (z1, z2) bit for
     # bit, because negating a vector leaves |u - v| and |u + v| unchanged
     straight = _chord_angle(angle.z1, angle.z2)
     turned = _chord_angle(-angle.z2, angle.z1)
-    return bool(abs(straight - turned) <= tol)
+    return bool(abs(straight - turned) <= DEFAULT_TOL)
 
 
 @_quiet_overflow
@@ -332,6 +336,8 @@ def h1_embedding(t):
     return _sinh_cosh_point(np.ones(1), np.zeros(1), t)
 
 
+# Gap scans search the parameter square [-_GAP_SPAN, _GAP_SPAN]^2.
+_GAP_SPAN = 10.0
 # Refinement grid: each step evaluates _REFINE_POINTS^2 parameter pairs around
 # the best pair so far, then divides the window's half-width by
 # _REFINE_SHRINK, so the new window spans one old grid cell either side of the
@@ -343,26 +349,27 @@ _REFINE_SHRINK = 4.0
 _FLAT_RTOL = 4.0 * np.finfo(float).eps
 
 
-def curve_min_gap(curve_a, curve_b, span=10.0, samples=10_000):
+def curve_min_gap(curve_a, curve_b, samples=10_000):
     """Smallest sampled hyperbolic distance between two parametrized curves.
 
     ``curve_a`` and ``curve_b`` map a parameter array to point batches.  The
-    parameter square [-span, span]^2 is scanned on a grid of ~``samples``
-    cells, then the best pair is refined by a shrinking-window grid search:
-    each step evaluates a small grid around the best pair in one batched
-    distance call and shrinks the window, stopping as soon as every value of
-    a window is within ``4 eps`` (relative) of the best one, or else once its
-    half-width reaches rounding level (intersecting curves, whose gap tends
-    to 0).  On a convex gap, such as the distance between two disjoint lines,
-    the result is accurate to rounding.  Returns
-    ``(gap, s, t)``, where ``gap`` is the distance between ``curve_a(s)`` and
-    ``curve_b(t)``.
+    parameter square [-10, 10]^2 is scanned on a grid of ~``samples`` cells
+    (an integer >= 1, else DomainError), then the best pair is refined by a
+    shrinking-window grid search: each step evaluates a small grid around the
+    best pair in one batched distance call and shrinks the window, stopping
+    as soon as every value of a window is within ``4 eps`` (relative) of the
+    best one, or else once its half-width reaches rounding level
+    (intersecting curves, whose gap tends to 0).  On a convex gap, such as
+    the distance between two disjoint lines, the result is accurate to
+    rounding.  Returns ``(gap, s, t)``, where ``gap`` is the distance between
+    ``curve_a(s)`` and ``curve_b(t)``.
 
     The scan is a falsification harness: a positive result bounds the gap
     from above and strongly suggests (but does not prove) disjointness.
     """
+    samples = _count(samples, "samples", 1)
     m = max(2, int(round(math.sqrt(samples))))
-    ts = np.linspace(-span, span, m)
+    ts = np.linspace(-_GAP_SPAN, _GAP_SPAN, m)
     offsets = np.linspace(-1.0, 1.0, _REFINE_POINTS)
     best, s, t = math.inf, 0.0, 0.0
     ss = tt = ts
@@ -378,13 +385,13 @@ def curve_min_gap(curve_a, curve_b, span=10.0, samples=10_000):
             return best, s, t
         if not half > 1e-15 * (1.0 + abs(s) + abs(t)):  # also stops on NaN
             return best, s, t
-        ss = np.clip(s + half * offsets, -span, span)
-        tt = np.clip(t + half * offsets, -span, span)
+        ss = np.clip(s + half * offsets, -_GAP_SPAN, _GAP_SPAN)
+        tt = np.clip(t + half * offsets, -_GAP_SPAN, _GAP_SPAN)
         half /= _REFINE_SHRINK
 
 
-def line_min_gap(g1: Geodesic, g2: Geodesic, span=10.0, samples=10_000):
-    """Scanned minimum hyperbolic distance between two lines."""
+def line_min_gap(g1: Geodesic, g2: Geodesic, samples=10_000):
+    """Scanned minimum hyperbolic distance between two lines (see
+    :func:`curve_min_gap`)."""
     return curve_min_gap(lambda t: geodesic_point(g1, t),
-                         lambda t: geodesic_point(g2, t),
-                         span=span, samples=samples)
+                         lambda t: geodesic_point(g2, t), samples=samples)

@@ -21,9 +21,12 @@ import numpy as np
 
 from . import gram
 from .core import (
+    DEFAULT_TOL,
     _check_unit,
+    _count,
     _point_lists,
     _quiet_overflow,
+    _reals,
     euclidean_distance,
     hyperbolic_distance,
     projective_distance,
@@ -59,6 +62,12 @@ RAY_SAMPLING_CAP = 100.0
 # temporaries (128 KiB arrays) for any grid size; the default grid of 200
 # takes three blocks.
 _PAIR_BLOCK = 16384
+
+# Iteration cap of each of normalize_euclidean_gauge's two loops.
+_NORMALIZE_MAX_ITER = 200
+
+# sphere_fit_rotation's Gram gate: absolute plus relative tolerance.
+_SPHERE_GRAM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -115,14 +124,17 @@ def builtin_gauge(name, domain=RAY):
 def table_gauge(xs, ys):
     """Piecewise-linear gauge through the given knots.
 
-    The table must start at (0, 0) with strictly increasing columns.  Beyond
-    the last knot the final segment is continued linearly; the domain tag is
-    ``unit`` when the table ends exactly at 1, else ``ray``.
+    The table must hold finite real numbers, start at (0, 0) and have
+    strictly increasing columns, or DomainError is raised.  Beyond the last
+    knot the final segment is continued linearly; the domain tag is ``unit``
+    when the table ends exactly at 1, else ``ray``.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    xs = _reals(xs, "gauge table")
+    ys = _reals(ys, "gauge table")
     if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
         raise DomainError("gauge table needs two equal-length columns, >= 2 rows")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise DomainError("gauge table has non-finite entries")
     if xs[0] != 0.0 or ys[0] != 0.0:
         raise DomainError("gauge table must start at (0, 0)")
     if np.any(np.diff(xs) <= 0.0) or np.any(np.diff(ys) <= 0.0):
@@ -170,11 +182,11 @@ def omega_validate(gauge: OmegaGauge, grid_size=200):
 
     Strict increase is checked on adjacent grid pairs and subadditivity on
     all grid pairs whose sum stays in the domain (ray domains are truncated
-    to [0, 100] for sampling).  The report carries the first violating pair
-    with its values; validation failures are report content, never errors.
+    to [0, 100] for sampling).  ``grid_size`` must be an integer >= 2, else
+    DomainError.  The report carries the first violating pair with its
+    values; validation failures are report content, never errors.
     """
-    if grid_size < 2:
-        raise DomainError("grid_size must be at least 2")
+    grid_size = _count(grid_size, "grid_size", 2)
     grid = _gauge_grid(gauge.domain, grid_size)
     vals = np.asarray(gauge.fn(grid), dtype=float)
 
@@ -239,13 +251,15 @@ def snowflake_distance(gauge: OmegaGauge, base, x, y):
     return float(out) if np.ndim(out) == 0 else np.asarray(out)
 
 
-def normalize_euclidean_gauge(gauge: OmegaGauge, tol=1e-9, max_iter=200):
+def normalize_euclidean_gauge(gauge: OmegaGauge):
     """Rescale a ray gauge so that w(1) = min(1, w(inf)/2).
 
     Returns ``(scaled_gauge, alpha)`` where the scaled gauge is
     t -> w(alpha * t).  The scale is found by bisection on the increasing
     function w; the normalization is the canonical representative used when
     listing gauge-deformed Euclidean spaces without double counting.
+    Raises ConvergenceError when the scale cannot be bracketed or the result
+    misses the target by more than ``DEFAULT_TOL`` (absolute plus relative).
     """
     if gauge.domain != RAY:
         raise DomainError("only ray gauges can be normalized this way")
@@ -255,14 +269,14 @@ def normalize_euclidean_gauge(gauge: OmegaGauge, tol=1e-9, max_iter=200):
     target = min(1.0, 0.5 * limit)
 
     hi = 1.0
-    for _ in range(max_iter):
+    for _ in range(_NORMALIZE_MAX_ITER):
         if float(gauge.fn(hi)) >= target:
             break
         hi *= 2.0
     else:
         raise ConvergenceError("could not bracket the normalization scale")
     lo = 0.0
-    for _ in range(max_iter):
+    for _ in range(_NORMALIZE_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if float(gauge.fn(mid)) < target:
             lo = mid
@@ -271,7 +285,7 @@ def normalize_euclidean_gauge(gauge: OmegaGauge, tol=1e-9, max_iter=200):
         if hi - lo <= 1e-15 * max(1.0, hi):
             break
     alpha = 0.5 * (lo + hi)
-    if abs(float(gauge.fn(alpha)) - target) > tol * (1.0 + target):
+    if abs(float(gauge.fn(alpha)) - target) > DEFAULT_TOL * (1.0 + target):
         raise ConvergenceError("bisection did not reach the normalization target")
 
     fn = gauge.fn
@@ -304,9 +318,9 @@ class ProjectiveCounterexample:
 def projective_counterexample(n=2):
     """The explicit 3-point rigidity failure of projective space, ambient
     sphere dimension ``n >= 2`` (coordinates are zero-padded beyond the
-    first three)."""
-    if n < 2:
-        raise DimensionError("the counterexample needs ambient dimension >= 2")
+    first three).  A non-integer ``n`` raises DomainError, and ``n < 2``
+    DimensionError."""
+    n = _count(n, "ambient dimension", 2, below=DimensionError)
 
     def pad(v):
         out = np.zeros(n + 1)
@@ -346,10 +360,11 @@ def projective_counterexample(n=2):
 
 
 @_quiet_overflow
-def sphere_fit_rotation(source, target, tol=1e-6):
+def sphere_fit_rotation(source, target):
     """Orthogonal matrix mapping source[i] -> target[i] on the sphere, or
-    ``None`` when the Gram matrices differ beyond tolerance.  Points must be
-    unit vectors; any other point raises DomainError.
+    ``None`` when the Gram matrices differ by more than 1e-6 (absolute plus
+    relative).  Points must be unit vectors; any other point raises
+    DomainError.
 
     The construction mirrors the hyperbolic fit: orthonormal frames with
     matching pivots, canonical completion, polar projection.
@@ -358,7 +373,7 @@ def sphere_fit_rotation(source, target, tol=1e-6):
     _check_unit(src, "source")
     _check_unit(tgt, "target")
     scale = float(np.max(np.abs(src @ src.T), initial=0.0))
-    if gram.gram_mismatch(src, tgt) > tol * (1.0 + scale):
+    if gram.gram_mismatch(src, tgt) > _SPHERE_GRAM_TOL * (1.0 + scale):
         return None
     try:
         u, _ = gram.orthogonal_map(src, tgt)

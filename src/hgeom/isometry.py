@@ -218,7 +218,8 @@ def fit_isometry(source, target, tol=FIT_DISTANCE_TOL):
     distance.
     """
     src, tgt = _point_lists(source, target)
-    if not 0.0 <= tol < math.inf:
+    tol = _real(tol, "fit tolerance")
+    if tol < 0.0:
         raise DomainError(f"fit tolerance must be finite and >= 0, got {tol!r}")
     dim = src.shape[1]
 

@@ -194,6 +194,15 @@ class TestParallel:
         code, _, _ = run(capsys, ["parallel", "[1,0]", "[0,1]"])
         assert code == 2
 
+    # -5 exited 1 with a traceback from math.sqrt; 0 scanned a 2x2 grid
+    @pytest.mark.parametrize("samples", ["-5", "0"])
+    def test_bad_samples_exits_2(self, capsys, samples):
+        code, out, err = run(capsys, ["parallel", "[1,0]", "[0,1]", "--mu", "2",
+                                      "--samples", samples])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "samples" in err
+
 
 class TestRigidity:
     def test_table(self, capsys):
@@ -247,6 +256,16 @@ class TestOmega:
         code, out, _ = run(capsys, ["omega", "--table", str(path)])
         assert code == 0
         assert json.loads(out)["passed"] is True
+
+    # a NaN knot was accepted
+    @pytest.mark.parametrize("knot", [float("nan"), float("inf")])
+    def test_non_finite_knot_exits_2(self, capsys, tmp_path, knot):
+        path = tmp_path / "gauge.json"
+        path.write_text(json.dumps([[0.0, 0.0], [knot, 0.7], [2.0, 1.0]]))
+        code, out, err = run(capsys, ["omega", "--table", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
 
 class TestCounterexampleAndSphereRadius:

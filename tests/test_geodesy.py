@@ -392,6 +392,18 @@ class TestGapScanStops:
         g2 = Geodesic(p, random_unit(rng, 2))
         assert line_min_gap(g1, g2)[0] < 1e-14
 
+    # -5 raised ValueError from math.sqrt, 2.5 was accepted, and 0 scanned a
+    # 2x2 grid
+    @pytest.mark.parametrize("samples", [-5, 0, 2.5, np.float64(100.0), "100", None])
+    def test_bad_samples_rejected(self, samples):
+        g1 = parallel_family(E1, E2, 2.0)
+        g2 = two_vector_form_to_line(E1, E2)
+        with pytest.raises(DomainError):
+            line_min_gap(g1, g2, samples=samples)
+        with pytest.raises(DomainError):
+            curve_min_gap(lambda t: geodesic_point(g1, t),
+                          lambda t: geodesic_point(g2, t), samples=samples)
+
 
 class TestParallelFamily:
     def test_direction_for_mu_two(self):

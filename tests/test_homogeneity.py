@@ -66,8 +66,10 @@ class TestOmegaValidate:
         assert not report.passed and report.violation.condition == "increasing"
 
     def test_grid_size_gate(self):
-        with pytest.raises(DomainError):
-            omega_validate(builtin_gauge("identity"), grid_size=1)
+        # 2.5 and "200" raised TypeError
+        for bad in (1, 0, -3, np.int64(1), 2.5, np.float64(200.0), "200", None):
+            with pytest.raises(DomainError):
+                omega_validate(builtin_gauge("identity"), grid_size=bad)
 
     def test_table_gauge(self):
         g = table_gauge([0.0, 0.5, 1.0], [0.0, 0.4, 0.6])
@@ -79,6 +81,13 @@ class TestOmegaValidate:
             table_gauge([0.5, 1.0], [0.0, 1.0])
         with pytest.raises(DomainError):
             table_gauge([0.0, 1.0, 0.5], [0.0, 0.5, 1.0])
+        # a NaN knot passed the monotonicity check and was accepted
+        for xs, ys in [([0.0, np.nan], [0.0, 1.0]), ([0.0, 1.0], [0.0, np.nan]),
+                       ([0.0, 1.0, np.inf], [0.0, 0.5, 1.0]),
+                       ([0.0, 1.0], [0.0, np.inf]), ([0.0, 1.0j], [0.0, 1.0]),
+                       ([0.0, "x"], [0.0, 1.0])]:
+            with pytest.raises(DomainError):
+                table_gauge(xs, ys)
 
 
 def scalar_omega_reference(gauge, grid_size):
@@ -287,6 +296,12 @@ class TestProjectiveCounterexample:
 
         with pytest.raises(DimensionError):
             projective_counterexample(1)
+        with pytest.raises(DimensionError):
+            projective_counterexample(np.int64(0))
+        # raised TypeError
+        for bad in (2.5, np.float64(3.0), "3", None):
+            with pytest.raises(DomainError):
+                projective_counterexample(bad)
 
 
 class TestSphereFitRotation:

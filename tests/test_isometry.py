@@ -377,7 +377,8 @@ class TestFitIsometry:
         with pytest.raises(DimensionError):
             fit_isometry(pts, pts)
 
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-6])
+    # "tol", 1j and [1e-6] raised TypeError
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-6, "tol", 1j, [1e-6]])
     def test_rejects_bad_tolerance(self, tol):
         src = np.array([[0.0], [1.0]])
         tgt = np.array([[0.0], [2.5]])  # distances 0.88 vs 2.31

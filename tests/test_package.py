@@ -1,5 +1,7 @@
-"""Package-level contracts: the public names, and no numpy warning escapes."""
+"""Package-level contracts: the public names, the numeric parameters, and no
+numpy warning escapes."""
 
+import inspect
 import math
 
 import numpy as np
@@ -45,6 +47,23 @@ class TestPublicNames:
         assert len(EARLIER_NAMES) == 59
         assert set(hgeom.__all__) - EARLIER_NAMES == {"UNIT", "RAY", "BUILTIN_GAUGES"}
         assert EARLIER_NAMES <= set(hgeom.__all__)
+
+
+# these decide against fixed constants (DEFAULT_TOL and the like), not a
+# caller's tolerance, span or iteration cap
+FIXED_TOLERANCE_FUNCTIONS = (
+    "points_equal", "proj_points_equal", "line_through", "segment_contains",
+    "metrically_collinear", "is_right_angle", "line_two_vector_form",
+    "curve_min_gap", "line_min_gap", "normalize_euclidean_gauge",
+    "sphere_fit_rotation",
+)
+
+
+def test_tolerances_are_constants():
+    for name in FIXED_TOLERANCE_FUNCTIONS:
+        params = inspect.signature(getattr(hgeom, name)).parameters
+        assert not {"tol", "span", "max_iter"} & set(params), name
+    assert "tol" in inspect.signature(hgeom.fit_isometry).parameters
 
 
 # each call emitted a RuntimeWarning on finite input before it raised or
