@@ -18,6 +18,7 @@ import numpy as np
 
 from . import geodesy, homogeneity, isometry
 from .core import (
+    _count,
     euclidean_distance,
     hyperbolic_distance,
     poincare_coords,
@@ -98,11 +99,10 @@ def cmd_geodesic(args):
     a = _parse_point(args.a)
     b = _parse_point(args.b)
     _check_dim(args, a, b)
-    if args.samples < 2:
-        raise GeometryError("need at least 2 samples")
+    samples = _count(args.samples, "samples", 2)
     line = geodesy.line_through(a, b)
     total = hyperbolic_distance(a, b)
-    ts = np.linspace(0.0, total, args.samples)
+    ts = np.linspace(0.0, total, samples)
     pts = geodesy.geodesic_point(line, ts)
     disk = poincare_coords(pts)
     n = a.shape[-1]

@@ -83,15 +83,22 @@ def _real(v, name):
     return float(v)
 
 
+# Largest count _count accepts.  No grid or array here is meaningful beyond
+# it, and larger values overflow float conversion or numpy's shape limits.
+_COUNT_MAX = 2**31 - 1
+
+
 def _count(v, name, minimum, below=DomainError):
-    # a Python or numpy integer, as an int: DomainError for anything else,
-    # ``below`` for an integer under ``minimum``
+    # a Python or numpy integer, as an int: DomainError for anything else or
+    # above _COUNT_MAX, ``below`` for an integer under ``minimum``
     try:
         n = operator.index(v)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {v!r}") from None
     if n < minimum:
         raise below(f"{name} must be at least {minimum}, got {n}")
+    if n > _COUNT_MAX:
+        raise DomainError(f"{name} must be at most {_COUNT_MAX}")
     return n
 
 
@@ -157,9 +164,14 @@ def _scaled(v):
     return np.ldexp(v, -e), e
 
 
+def _dot(x, y):
+    # <x, y> over the last axis, broadcast: one pass, no product temporary
+    return np.einsum("...i,...i->...", x, y)
+
+
 def _bracket(x):
     # [x] of validated coordinates; inf once |x|^2 overflows
-    return np.hypot(1.0, np.linalg.norm(x, axis=-1))
+    return np.sqrt(1.0 + _dot(x, x))
 
 
 @_quiet_overflow

@@ -114,8 +114,10 @@ BUILTIN_GAUGES = tuple(_BUILTIN)
 
 
 def builtin_gauge(name, domain=RAY):
-    """One of the named example gauges: identity, sqrt, square, saturating."""
-    if name not in _BUILTIN:
+    """One of the named example gauges: identity, sqrt, square, saturating.
+
+    Any other name, or a name that is not a string, raises DomainError."""
+    if not isinstance(name, str) or name not in _BUILTIN:
         raise DomainError(f"unknown gauge {name!r}; pick one of {sorted(_BUILTIN)}")
     fn, limit = _BUILTIN[name]
     return OmegaGauge(fn, domain, None if domain == UNIT else limit, label=name)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gram
-from .core import (_bracket, _distance, _pair, _point_lists, _quiet_overflow, _real,
-                   _reals, _vector, as_point, require_finite)
+from .core import (_bracket, _distance, _dot, _pair, _point_lists, _quiet_overflow,
+                   _real, _reals, _vector, as_point, require_finite)
 from .errors import (
     DimensionError,
     DomainError,
@@ -55,11 +55,32 @@ DECOMPOSE_DRIFT_TOL = 1e-8
 # Coordinates per block of a batched isometry_apply (256 KiB per temporary).
 APPLY_BLOCK = 2**15
 
+# Most multiply-adds one BLAS call of _matmul does.  OpenBLAS runs a gemm of
+# this size on the calling thread (GEMM_MULTITHREAD_THRESHOLD, 4 * 65536) and
+# splits a larger one across threads, where a call can stall for milliseconds
+# waiting for its worker thread.
+MATMUL_MADDS = 2**18
+
+
+def _matmul(a, b):
+    # a @ b for matrices in BLAS calls that stay single-threaded: one call if
+    # the product fits in one slice of r rows, else one stacked np.matmul over
+    # such slices and one over the rows left
+    (m, k), n = a.shape, b.shape[1]
+    r = max(1, MATMUL_MADDS // (k * n))
+    if m <= r:
+        return np.matmul(a, b)
+    q = m - m % r
+    out = np.empty((m, n))
+    np.matmul(a[:q].reshape(-1, r, k), b, out=out[:q].reshape(-1, r, n))
+    np.matmul(a[q:], b, out=out[q:])
+    return out
+
 
 def _translate(y, x):
     # T_y(x) of validated coordinates
     bx, by = _bracket(x), _bracket(y)
-    xy = np.sum(x * y, axis=-1)
+    xy = _dot(x, y)
     # [T_y(x)] bounds every coordinate of the image; it is inf or NaN when
     # |x|^2, |y|^2 or the image overflows
     require_finite(bx * by + xy, "[T_y(x)]")
@@ -73,7 +94,8 @@ def translation_apply(y, x):
 
     Satisfies the bracket law [T_y(x)] = [x][y] + <x, y> and is an exact
     isometry of the hyperbolic distance; T_{-y} is its two-sided inverse.
-    Raises DomainError when a squared norm or the image overflows.
+    [x], [y] and <x, y> are one-pass row dots.  Raises DomainError when a
+    squared norm or the image overflows.
     """
     return _translate(*_pair(y, x, ("translation parameter", "point")))
 
@@ -98,7 +120,7 @@ class Isometry:
             raise DimensionError(f"orthogonal part must be {n}x{n}, got {u.shape}")
         if not np.all(np.isfinite(u)):
             raise GeometryError("orthogonal part has non-finite entries")
-        drift = np.max(np.abs(u.T @ u - np.eye(n)))
+        drift = np.max(np.abs(_matmul(u.T, u) - np.eye(n)))
         if drift > ORTHO_TOL:
             raise GeometryError(
                 f"matrix is not orthogonal (max |U'U - I| = {drift:.3e})"
@@ -129,7 +151,7 @@ def _apply(g, x):
     out = np.empty_like(rows)
     step = max(1, APPLY_BLOCK // g.dim)
     for i in range(0, len(rows), step):
-        out[i:i + step] = _translate(g.a, rows[i:i + step] @ g.U.T)
+        out[i:i + step] = _translate(g.a, _matmul(rows[i:i + step], g.U.T))
     return out.reshape(x.shape)
 
 
@@ -139,7 +161,9 @@ def isometry_apply(g, x):
 
     A batch is mapped in blocks of rows, so the rotated copy and the
     translation's temporaries hold about ``APPLY_BLOCK`` coordinates each
-    instead of copies of the whole batch.
+    instead of copies of the whole batch.  Each block is rotated in BLAS
+    calls of at most ``MATMUL_MADDS`` multiply-adds, which OpenBLAS runs on
+    the calling thread instead of waiting for a worker thread.
     """
     x = as_point(x)
     if x.shape[-1] != g.dim:
@@ -159,7 +183,7 @@ def _decompose_action(action, dim):
     images = action(pts)
     a = images[0]
     cols = _translate(-a, images[1:])
-    drift = float(np.max(np.abs(cols @ cols.T - np.eye(dim))))
+    drift = float(np.max(np.abs(_matmul(cols, cols.T) - np.eye(dim))))
     if not drift <= DECOMPOSE_DRIFT_TOL:
         raise DomainError(f"decomposed map drifts from orthogonal by {drift:.3e}")
     return Isometry(a, gram.polar_orthogonalize(cols.T))
@@ -243,7 +267,8 @@ def fit_isometry(source, target, tol=FIT_DISTANCE_TOL):
     c = _translate(-q0, tgt[1:])
     try:
         u, rank = gram.orthogonal_map(b, c)
-        iso = _decompose_action(lambda p: _translate(q0, _translate(-p0, p) @ u.T), dim)
+        iso = _decompose_action(
+            lambda p: _translate(q0, _matmul(_translate(-p0, p), u.T)), dim)
     except GeometryError as exc:
         raise PartialIsometryError(str(exc)) from exc
     residual = float(np.max(_distance(_apply(iso, src), tgt)))

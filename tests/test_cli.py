@@ -100,6 +100,11 @@ class TestGeodesic:
         code, _, _ = run(capsys, ["geodesic", "[0,0]", "[1,0]", "--samples", "1"])
         assert code == 2
 
+    def test_huge_samples_exit_2(self, capsys):
+        # exited 1 with numpy's ValueError from np.linspace
+        code, _, err = run(capsys, ["geodesic", "[0,0]", "[1,0]", "--samples", str(10**400)])
+        assert code == 2 and "samples" in err
+
 
 class TestFit:
     def test_random_isometry_pairs(self, capsys, tmp_path):
@@ -194,8 +199,9 @@ class TestParallel:
         code, _, _ = run(capsys, ["parallel", "[1,0]", "[0,1]"])
         assert code == 2
 
-    # -5 exited 1 with a traceback from math.sqrt; 0 scanned a 2x2 grid
-    @pytest.mark.parametrize("samples", ["-5", "0"])
+    # -5 and 10**400 exited 1 with a traceback from math.sqrt; 0 scanned a
+    # 2x2 grid
+    @pytest.mark.parametrize("samples", ["-5", "0", pytest.param(str(10**400), id="1e400")])
     def test_bad_samples_exits_2(self, capsys, samples):
         code, out, err = run(capsys, ["parallel", "[1,0]", "[0,1]", "--mu", "2",
                                       "--samples", samples])

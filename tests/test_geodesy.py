@@ -392,9 +392,11 @@ class TestGapScanStops:
         g2 = Geodesic(p, random_unit(rng, 2))
         assert line_min_gap(g1, g2)[0] < 1e-14
 
-    # -5 raised ValueError from math.sqrt, 2.5 was accepted, and 0 scanned a
-    # 2x2 grid
-    @pytest.mark.parametrize("samples", [-5, 0, 2.5, np.float64(100.0), "100", None])
+    # -5 raised ValueError from math.sqrt, 2.5 was accepted, 0 scanned a 2x2
+    # grid, and 10**400 raised OverflowError from math.sqrt
+    @pytest.mark.parametrize("samples", [-5, 0, 2.5, np.float64(100.0), "100", None,
+                                         2**31, 10**30,
+                                         pytest.param(10**400, id="1e400")])
     def test_bad_samples_rejected(self, samples):
         g1 = parallel_family(E1, E2, 2.0)
         g2 = two_vector_form_to_line(E1, E2)

@@ -66,10 +66,18 @@ class TestOmegaValidate:
         assert not report.passed and report.violation.condition == "increasing"
 
     def test_grid_size_gate(self):
-        # 2.5 and "200" raised TypeError
-        for bad in (1, 0, -3, np.int64(1), 2.5, np.float64(200.0), "200", None):
+        # 2.5 and "200" raised TypeError, 10**400 OverflowError; counts above
+        # 2**31 - 1 are rejected before anything is allocated
+        for bad in (1, 0, -3, np.int64(1), 2.5, np.float64(200.0), "200", None,
+                    2**31, 10**30, 10**400):
             with pytest.raises(DomainError):
                 omega_validate(builtin_gauge("identity"), grid_size=bad)
+
+    # a list raised TypeError: unhashable type
+    @pytest.mark.parametrize("name", [["sqrt"], None, 3, "nope"])
+    def test_bad_gauge_name_rejected(self, name):
+        with pytest.raises(DomainError):
+            builtin_gauge(name)
 
     def test_table_gauge(self):
         g = table_gauge([0.0, 0.5, 1.0], [0.0, 0.4, 0.6])
@@ -298,8 +306,8 @@ class TestProjectiveCounterexample:
             projective_counterexample(1)
         with pytest.raises(DimensionError):
             projective_counterexample(np.int64(0))
-        # raised TypeError
-        for bad in (2.5, np.float64(3.0), "3", None):
+        # raised TypeError; 10**30 raised numpy's ValueError from np.zeros
+        for bad in (2.5, np.float64(3.0), "3", None, 2**31, 10**30, 10**400):
             with pytest.raises(DomainError):
                 projective_counterexample(bad)
 

@@ -1,5 +1,8 @@
 """Translations, full isometries, fitting, and the dilation residual."""
 
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
@@ -31,6 +34,7 @@ from util import (
     drifting_one_point_fit,
     exact_hyperbolic_distance,
     exact_isometry_apply,
+    exact_translation_apply,
     random_isometry,
     random_orthogonal,
     random_unit,
@@ -160,6 +164,109 @@ class TestIsometry:
     def test_rejects_non_real_orthogonal_part(self, u):
         with pytest.raises(DomainError):
             Isometry(np.zeros(2), u)
+
+
+def _loguniform(rng, lo, hi, n):
+    return np.exp(rng.uniform(np.log(lo), np.log(hi), (n, 1)))
+
+
+def _map_pairs(regime, n, d, rng):
+    """n pairs (x, y) of dimension d from one conditioning regime."""
+    u, v = random_unit(rng, d, (n,)), random_unit(rng, d, (n,))
+    if regime == "uniform":
+        return rng.uniform(-10, 10, (n, d)), rng.uniform(-10, 10, (n, d))
+    if regime == "nearby":  # |x| <= 10, separation 1e-8 .. 1e-1
+        x = u * rng.uniform(0, 10, (n, 1))
+        return x, x + v * _loguniform(rng, 1e-8, 1e-1, n)
+    if regime == "far_antipodal":  # |x|, |y| in 1e6 .. 1e8, opposite
+        return (u * _loguniform(rng, 1e6, 1e8, n),
+                -u * _loguniform(rng, 1e6, 1e8, n) + v * rng.uniform(0, 1, (n, 1)))
+    assert regime == "wide"  # |x|, |y| in 1e-8 .. 1e8
+    return u * _loguniform(rng, 1e-8, 1e8, n), v * _loguniform(rng, 1e-8, 1e8, n)
+
+
+def _map_miss(out, exact):
+    """Euclidean distance between a computed image and a 120-digit one."""
+    with mp.workdps(120):
+        return float(mp.sqrt(mp.fsum((mp.mpf(float(o)) - e) ** 2
+                                     for o, e in zip(out, exact))))
+
+
+class TestBatchedMapsExact:
+    """Batched translations and isometries against 120-digit images, within
+    the a-priori forward error bound 1e-12 (1 + |x|)(1 + |a|) of the plain
+    double formula."""
+
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    @pytest.mark.parametrize("regime", ["uniform", "nearby", "far_antipodal", "wide"])
+    def test_matches_exact_image(self, regime, d):
+        rng = np.random.default_rng([d, len(regime)])
+        # three row blocks, the last one two rows short: at d = 64 it is
+        # rotated as stacked 64-row slices plus leftover rows
+        step = APPLY_BLOCK // d
+        rows = 3 * step - 2
+        x, y = _map_pairs(regime, rows, d, rng)
+        g = Isometry(y[0], random_orthogonal(rng, d))
+        x3, y3 = x.reshape(2, rows // 2, d), y.reshape(2, rows // 2, d)
+        batched = {
+            "translate": translation_apply(y, x),
+            "translate 3-D": translation_apply(y3, x3).reshape(rows, d),
+            "translate one y": translation_apply(y[0], x),
+            "apply": isometry_apply(g, x),
+            "apply 3-D": isometry_apply(g, x3).reshape(rows, d),
+        }
+        # first and last rows, a block boundary and random rows
+        picks = {0, step - 1, step, rows - 1, *rng.choice(rows, 3, replace=False)}
+        for i in sorted(picks):
+            nx = np.linalg.norm(x[i])
+            exact = {
+                "translate": exact_translation_apply(y[i], x[i]),
+                "translate one y": exact_translation_apply(y[0], x[i]),
+                "apply": exact_isometry_apply(g, x[i]),
+            }
+            for name, out in batched.items():
+                key = name.removesuffix(" 3-D")
+                a = y[0] if key != "translate" else y[i]
+                bound = 1e-12 * (1.0 + nx) * (1.0 + np.linalg.norm(a))
+                miss = _map_miss(out[i], exact[key])
+                assert miss <= bound, (name, i, miss, bound)
+
+
+class TestBlasSlices:
+    @pytest.mark.parametrize("d", [2, 8, 64, 200])
+    def test_matmul_calls_stay_single_threaded(self, d, monkeypatch):
+        # OpenBLAS runs a gemm of at most 4 * 65536 multiply-adds on the
+        # calling thread; a larger one waits on a worker thread, which stalled
+        # 512-row blocks at d = 64 for ~8 ms per call.  Every np.matmul the
+        # map path makes must stay within that, and the rotations of a batch
+        # must all go through it.  (gram's products and its SVD are not
+        # recorded; at d <= 64 they are within the bound anyway.)
+        calls = []
+        matmul = np.matmul
+
+        def recording(a, b, *args, **kwargs):
+            calls.append((np.shape(a), np.shape(b)))
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        rng = np.random.default_rng(d)
+        g, h = random_isometry(rng, d), random_isometry(rng, d)
+        rows = 2 * APPLY_BLOCK // d + 3
+        src = rng.uniform(-1, 1, (d + 1, d))
+        made = {}
+        for name, call in [
+            ("apply", lambda: isometry_apply(g, rng.uniform(-5, 5, (rows, d)))),
+            ("compose", lambda: isometry_compose(g, h)),
+            ("fit", lambda: fit_isometry(src, isometry_apply(g, src))),
+        ]:
+            calls.clear()
+            call()
+            made[name] = list(calls)
+        assert sum(math.prod(a[:-1]) for a, _ in made["apply"]) == rows
+        for name, shapes in made.items():
+            assert shapes, name
+            for a, b in shapes:
+                assert math.prod(a[-2:]) * b[-1] <= 2**18, (name, a, b)
 
 
 class TestComposeInvert:

@@ -39,20 +39,28 @@ def exact_hyperbolic_distance(x, y, dps=50):
         return float(mp.acosh(bx * by - ip))
 
 
-def exact_isometry_apply(g, x, dps=120):
-    """T_a(U x) for the isometry g = (a, U) in ``dps``-digit arithmetic.
+def exact_translation_apply(y, x, dps=120):
+    """T_y(x) in ``dps``-digit arithmetic, for a float vector ``y``.
 
     Floats are taken at their exact binary64 value and mpf coordinates
     as they are, so images can be chained; returns a list of mpf.
     """
     with mp.workdps(dps):
         x = [mp.mpf(v) for v in x]
-        a = [mp.mpf(float(v)) for v in g.a]
-        ux = [mp.fsum(mp.mpf(float(u)) * v for u, v in zip(row, x)) for row in g.U]
-        bx = mp.sqrt(1 + mp.fsum(v * v for v in ux))
+        a = [mp.mpf(float(v)) for v in y]
+        bx = mp.sqrt(1 + mp.fsum(v * v for v in x))
         ba = mp.sqrt(1 + mp.fsum(v * v for v in a))
-        coeff = bx + mp.fsum(v * w for v, w in zip(ux, a)) / (ba + 1)
-        return [v + coeff * w for v, w in zip(ux, a)]
+        coeff = bx + mp.fsum(v * w for v, w in zip(x, a)) / (ba + 1)
+        return [v + coeff * w for v, w in zip(x, a)]
+
+
+def exact_isometry_apply(g, x, dps=120):
+    """T_a(U x) for the isometry g = (a, U) in ``dps``-digit arithmetic,
+    with inputs taken as by :func:`exact_translation_apply`."""
+    with mp.workdps(dps):
+        x = [mp.mpf(v) for v in x]
+        ux = [mp.fsum(mp.mpf(float(u)) * v for u, v in zip(row, x)) for row in g.U]
+        return exact_translation_apply(g.a, ux, dps)
 
 
 def random_unit(rng, n, size=()):
