@@ -361,8 +361,9 @@ def curve_min_gap(curve_a, curve_b, samples=10_000):
     best one, or else once its half-width reaches rounding level
     (intersecting curves, whose gap tends to 0).  On a convex gap, such as
     the distance between two disjoint lines, the result is accurate to
-    rounding.  Returns ``(gap, s, t)``, where ``gap`` is the distance between
-    ``curve_a(s)`` and ``curve_b(t)``.
+    rounding when the minimizing pair lies inside the square; otherwise it
+    is only an upper bound.  Returns ``(gap, s, t)``, where ``gap`` is the
+    distance between ``curve_a(s)`` and ``curve_b(t)``.
 
     The scan is a falsification harness: a positive result bounds the gap
     from above and strongly suggests (but does not prove) disjointness.
@@ -392,6 +393,7 @@ def curve_min_gap(curve_a, curve_b, samples=10_000):
 
 def line_min_gap(g1: Geodesic, g2: Geodesic, samples=10_000):
     """Scanned minimum hyperbolic distance between two lines (see
-    :func:`curve_min_gap`)."""
+    :func:`curve_min_gap`): accurate to rounding when the closest points
+    lie at parameters in [-10, 10], else an upper bound."""
     return curve_min_gap(lambda t: geodesic_point(g1, t),
                          lambda t: geodesic_point(g2, t), samples=samples)

@@ -237,12 +237,11 @@ def snowflake_distance(gauge: OmegaGauge, base, x, y):
     (``unit`` for the sphere, ``ray`` otherwise).  The composition is again
     a metric exactly when the gauge satisfies the gauge conditions.
     """
-    try:
-        dist, needed = _BASE_METRICS[base]
-    except KeyError:
+    if not isinstance(base, str) or base not in _BASE_METRICS:
         raise DomainError(
             f"unknown base metric {base!r}; pick one of {sorted(_BASE_METRICS)}"
-        ) from None
+        )
+    dist, needed = _BASE_METRICS[base]
     if gauge.domain != needed:
         raise DomainError(
             f"gauge domain {gauge.domain!r} does not fit base {base!r} "
@@ -369,7 +368,7 @@ def sphere_fit_rotation(source, target):
     DomainError.
 
     The construction mirrors the hyperbolic fit: orthonormal frames with
-    matching pivots, canonical completion, polar projection.
+    matching pivots, then the polar factor (off the span, some orthogonal map).
     """
     src, tgt = _point_lists(source, target)
     _check_unit(src, "source")

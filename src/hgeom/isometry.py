@@ -8,7 +8,7 @@ translation parameter ``a`` and an orthogonal matrix ``U``, where
 is the translation moving the origin to y.  ``fit_isometry`` turns absolute
 homogeneity into an algorithm: any finite distance-preserving correspondence
 extends to a global isometry, built here by translating base points to the
-origin, matching Gram data, and completing the orthogonal part canonically.
+origin and matching the Gram data of the rest by an orthogonal matrix.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gram
-from .core import (_bracket, _distance, _dot, _pair, _point_lists, _quiet_overflow,
-                   _real, _reals, _vector, as_point, require_finite)
+from .core import (_bracket, _count, _distance, _dot, _pair, _point_lists,
+                   _quiet_overflow, _real, _reals, _vector, as_point, require_finite)
 from .errors import (
     DimensionError,
     DomainError,
@@ -135,7 +135,8 @@ class Isometry:
 
 
 def identity_isometry(dim):
-    """The identity map of the dim-dimensional space."""
+    """The identity map of the dim-dimensional space, dim an integer >= 1."""
+    dim = _count(dim, "dimension", 1, below=DimensionError)
     return Isometry(np.zeros(dim), np.eye(dim))
 
 
@@ -231,9 +232,9 @@ def fit_isometry(source, target, tol=FIT_DISTANCE_TOL):
     The input must be a partial isometry: all pairwise hyperbolic distances
     on the source must match those on the target within ``tol * (1 + d)``.
     The first source/target points are translated to the origin, an
-    orthogonal map between the remaining translated points is built
-    (completed canonically on the orthogonal complement), and the whole map
-    is conjugated back and returned in (a, U) form.
+    orthogonal map between the remaining translated points is built (off
+    their span it is some orthogonal map; ``unique`` says whether they
+    span), and the whole map is conjugated back and returned in (a, U) form.
 
     Raises :class:`PartialIsometryError` when the distance hypothesis fails,
     with the offending index pair attached, when the decomposition's drift

@@ -392,6 +392,21 @@ class TestGapScanStops:
         g2 = Geodesic(p, random_unit(rng, 2))
         assert line_min_gap(g1, g2)[0] < 1e-14
 
+    def test_minimizer_outside_window_gives_upper_bound(self):
+        # re-basing g2 at its point t=12 moves the minimizing parameter to
+        # about -11.7, outside [-10, 10]: the scan stops at the window's edge
+        # with a true distance between two line points, above the gap
+        rng = np.random.default_rng(4)
+        g1, g2 = (Geodesic(rng.uniform(-1, 1, 3), rng.standard_normal(3)) for _ in range(2))
+        gap, _, t0 = line_min_gap(g1, g2)
+        assert abs(gap - 0.52722) <= 1e-5
+        h2 = line_through(geodesic_point(g2, 12.0), geodesic_point(g2, 13.0))
+        assert t0 - 12.0 < -10.0
+        bound, s, t = line_min_gap(g1, h2)
+        assert t == -10.0 and abs(bound - 1.86114) <= 1e-5
+        d = hyperbolic_distance(geodesic_point(g1, s), geodesic_point(h2, t))
+        assert abs(d - bound) <= 1e-12 * bound
+
     # -5 raised ValueError from math.sqrt, 2.5 was accepted, 0 scanned a 2x2
     # grid, and 10**400 raised OverflowError from math.sqrt
     @pytest.mark.parametrize("samples", [-5, 0, 2.5, np.float64(100.0), "100", None,

@@ -206,8 +206,10 @@ class TestSnowflake:
             snowflake_distance(builtin_gauge("sqrt", domain="unit"), "euclidean", u, v)
 
     def test_unknown_base_rejected(self):
-        with pytest.raises(DomainError):
-            snowflake_distance(builtin_gauge("sqrt"), "taxicab", [0.0], [1.0])
+        # a list or a dict raised TypeError: unhashable type
+        for base in ("taxicab", ["hyperbolic"], {"hyperbolic": 1}):
+            with pytest.raises(DomainError):
+                snowflake_distance(builtin_gauge("sqrt"), base, [0.0], [1.0])
 
     def test_midpoint_defect_of_nonlinear_gauges(self):
         # snowflaked metrics lose geodesicity unless the gauge is linear: no

@@ -110,6 +110,19 @@ class TestIsometry:
         x = rng.uniform(-10, 10, 4)
         assert np.allclose(isometry_apply(identity_isometry(4), x), x, atol=1e-15)
 
+    # 2.5, "3", None and np.float64(2.0) raised TypeError, -1 numpy's
+    # ValueError; 2**31 is rejected before any array is made
+    @pytest.mark.parametrize("dim", [2.5, "3", None, np.float64(2.0), 2**31])
+    def test_identity_dimension_not_a_count(self, dim, monkeypatch):
+        monkeypatch.setattr(isometry, "np", None)
+        with pytest.raises(DomainError):
+            identity_isometry(dim)
+
+    @pytest.mark.parametrize("dim", [-1, 0])
+    def test_identity_dimension_below_one(self, dim):
+        with pytest.raises(DimensionError):
+            identity_isometry(dim)
+
     def test_translation_isometry_action(self):
         rng = np.random.default_rng(3)
         y = rng.uniform(-5, 5, 3)
