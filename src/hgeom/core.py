@@ -89,9 +89,12 @@ _COUNT_MAX = 2**31 - 1
 
 
 def _count(v, name, minimum, below=DomainError):
-    # a Python or numpy integer, as an int: DomainError for anything else or
-    # above _COUNT_MAX, ``below`` for an integer under ``minimum``
+    # a Python or numpy integer, as an int: DomainError for anything else
+    # (a bool too, though operator.index accepts it) or above _COUNT_MAX,
+    # ``below`` for an integer under ``minimum``
     try:
+        if isinstance(v, bool):
+            raise TypeError
         n = operator.index(v)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {v!r}") from None

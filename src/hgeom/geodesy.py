@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, _bracket, _count, _distance, _pair, _quiet_overflow,
+from .core import (DEFAULT_TOL, _bracket, _count, _distance, _dot, _pair, _quiet_overflow,
                    _real, _reals, _scaled, _vector, as_point, hyperbolic_distance,
                    points_equal, require_finite)
 from .errors import DegenerateInputError, DimensionError, DomainError
@@ -366,7 +366,10 @@ def curve_min_gap(curve_a, curve_b, samples=10_000):
     distance between ``curve_a(s)`` and ``curve_b(t)``.
 
     The scan is a falsification harness: a positive result bounds the gap
-    from above and strongly suggests (but does not prove) disjointness.
+    from above and strongly suggests (but does not prove) disjointness.  It
+    serves curves that need not be lines (``hgeom parallel`` scans any
+    independent two-vector pair); for two lines, :func:`line_min_gap` gives
+    the gap in closed form, with no window.
     """
     samples = _count(samples, "samples", 1)
     m = max(2, int(round(math.sqrt(samples))))
@@ -391,9 +394,69 @@ def curve_min_gap(curve_a, curve_b, samples=10_000):
         half /= _REFINE_SHRINK
 
 
+# line_min_gap returns a gap only if its error bound is within 1e-12 of it
+# plus 1e-14; the bound charges 4 roundings (2**-53) to each term |sinh s| |w|
+# and cosh s |a| of the two points (the worst measured was one).
+_GAP_RTOL, _GAP_ATOL, _POINT_ROUNDING = 1e-12, 1e-14, 4.0 * 2.0**-53
+
+
+def _closest_step(w, a):
+    # (s, t) of the closest pair of the lines sinh(u) w[i] + cosh(u) a[i]
+    # (Ratcliffe, Foundations of Hyperbolic Manifolds, ch. 3).  Line i has the
+    # null ends E[i, +-] = A +- W, A = ([a], a), W = (<w,a>/[a], w); with the
+    # Minkowski N[j, k] = -<E[0, j], E[1, k]> = |E[0, j] - E[1, k]|^2 / 2 (a
+    # difference: accurate when two ends nearly meet), 4 cosh d(s, t) =
+    # sum_jk e^(+-s) e^(+-t) N[j, k] is least at e^(4s) = N-- N-+ / (N+- N++)
+    # and e^(4t) = N-- N+- / (N-+ N++).
+    ba = _bracket(a)
+    lift_a = np.concatenate((ba[:, None], a), axis=1)
+    lift_w = np.concatenate(((_dot(w, a) / ba)[:, None], w), axis=1)
+    ends = lift_a[:, None] + np.array([1.0, -1.0])[:, None] * lift_w[:, None]
+    d = ends[0][:, None] - ends[1][None]
+    n = 0.5 * (_dot(d[..., 1:], d[..., 1:]) - d[..., 0] ** 2)
+    if not np.all((n > 0.0) & (n < np.inf)):  # also false on NaN
+        raise DomainError("the lines have no closest pair in double range: they "
+                          "are asymptotic, coincident or nearly so")
+    ln = np.log(n)
+    return 0.25 * np.array([ln[1].sum() - ln[0].sum(), ln[:, 1].sum() - ln[:, 0].sum()])
+
+
+@_quiet_overflow
 def line_min_gap(g1: Geodesic, g2: Geodesic, samples=10_000):
-    """Scanned minimum hyperbolic distance between two lines (see
-    :func:`curve_min_gap`): accurate to rounding when the closest points
-    lie at parameters in [-10, 10], else an upper bound."""
-    return curve_min_gap(lambda t: geodesic_point(g1, t),
-                         lambda t: geodesic_point(g2, t), samples=samples)
+    """Distance between two lines in closed form, with no parameter window:
+    ``(gap, s, t)``, ``gap`` being the distance between ``geodesic_point(g1,
+    s)`` and ``geodesic_point(g2, t)``, within 1e-12 (relative) plus 1e-14 of
+    the lines' distance (<= 1e-14 for intersecting lines, 0 in H^1).  The
+    form is applied three times, each to the lines re-based at the pair found
+    so far.  DomainError for asymptotic or coincident lines, for closest
+    points that overflow, or whose rounding (far from the origin or the base
+    points) could move the gap past that bound; DimensionError for lines of
+    different dimensions.  ``samples`` is validated, then unused; it stays
+    until the benchmark's set-up stops passing it."""
+    _count(samples, "samples", 1)
+    if g1.dim != g2.dim:
+        raise DimensionError("the two lines have different dimensions")
+    (w1, a1), (w2, a2) = _sinh_cosh_coeff(g1), _sinh_cosh_coeff(g2)
+    if g1.dim == 1:  # both lines are the whole space: t reaches g1's base
+        return 0.0, 0.0, float(g2.z[0] * (np.arcsinh(a1[0]) - np.arcsinh(a2[0])))
+    w, a, st = np.stack([w1, w2]), np.stack([a1, a2]), np.zeros(2)
+    for _ in range(3):
+        # re-base at the points p found so far: sinh(s+u) w + cosh(s+u) a =
+        # sinh(u) (cosh(s) w + sinh(s) a) + cosh(u) p
+        ch, sh = np.cosh(st)[:, None], np.sinh(st)[:, None]
+        step = _closest_step(ch * w + sh * a, sh * w + ch * a)
+        st += step
+    (s, t), (ds, dt) = st.tolist(), step.tolist()
+    gap = float(_distance(_sinh_cosh_point(w1, a1, s), _sinh_cosh_point(w2, a2, t)))
+    # error bound: the points' rounding, plus the last step's move to first
+    # order, or to second order near a positive gap (d's Hessian <= coth(gap/2))
+    move = abs(ds) + abs(dt)
+    if gap > 0.0:
+        move *= min(1.0, move / math.tanh(0.5 * gap))
+    bound = move + _POINT_ROUNDING * sum(
+        abs(math.sinh(u)) * np.linalg.norm(v) + math.cosh(u) * np.linalg.norm(b)
+        for u, v, b in ((s, w1, a1), (t, w2, a2)))
+    if not bound <= _GAP_RTOL * gap + _GAP_ATOL:
+        raise DomainError(f"the closest points lie too far from the origin or the base "
+                          f"points: the gap {gap!r} is only known to within {bound:.1e}")
+    return gap, s, t

@@ -33,7 +33,7 @@ from hgeom import (
 
 from hgeom import geodesy
 
-from util import random_isometry, random_unit
+from util import exact_line_gap, random_isometry, random_unit
 
 SINH_1 = 1.1752011936438014
 ACOSH_SQRT2 = 0.88137358701954303
@@ -326,7 +326,7 @@ class TestTwoLinesIntersect:
         assert dist == pytest.approx(abs(u - v) * d, abs=1e-9)
 
 
-def exact_ultraparallel_gap(a, b, mu, dps=60):
+def exact_ultraparallel_gap(a, b, mu, dps=120):
     """Distance between the line span(mu a + b) and the line
     {sinh(t) a + cosh(t) b} in the plane, from the unit Minkowski normals
     n1, n2 of their planes in the hyperboloid model: cosh d = |<n1, n2>|
@@ -379,7 +379,9 @@ class TestGapScanStops:
 
         monkeypatch.setattr(geodesy, "hyperbolic_distance", counted)
         a, b, mu = ultraparallel_problem(0)
-        gap, _, _ = line_min_gap(parallel_family(a, b, mu), two_vector_form_to_line(a, b))
+        g1, g2 = parallel_family(a, b, mu), two_vector_form_to_line(a, b)
+        gap, _, _ = curve_min_gap(lambda t: geodesic_point(g1, t),
+                                  lambda t: geodesic_point(g2, t))
         assert abs(gap - exact_ultraparallel_gap(a, b, mu)) <= 1e-12 * gap
         assert len(calls) <= 17
 
@@ -398,14 +400,27 @@ class TestGapScanStops:
         # with a true distance between two line points, above the gap
         rng = np.random.default_rng(4)
         g1, g2 = (Geodesic(rng.uniform(-1, 1, 3), rng.standard_normal(3)) for _ in range(2))
-        gap, _, t0 = line_min_gap(g1, g2)
+
+        def scan(g, h):
+            return curve_min_gap(lambda t: geodesic_point(g, t), lambda t: geodesic_point(h, t))
+
+        gap, _, t0 = scan(g1, g2)
         assert abs(gap - 0.52722) <= 1e-5
         h2 = line_through(geodesic_point(g2, 12.0), geodesic_point(g2, 13.0))
         assert t0 - 12.0 < -10.0
-        bound, s, t = line_min_gap(g1, h2)
+        bound, s, t = scan(g1, h2)
         assert t == -10.0 and abs(bound - 1.86114) <= 1e-5
         d = hyperbolic_distance(geodesic_point(g1, s), geodesic_point(h2, t))
         assert abs(d - bound) <= 1e-12 * bound
+        # the closed form has no window: it returns the gap for g2, and for
+        # h2 (whose own gap is 0.52722 too) it raises, because h2's closest
+        # point lies 11.7 back from a base point at |x| ~ 1e5, where
+        # geodesic_point is off by ~1e-7, so no gap it could report would be
+        # good to 1e-12
+        assert abs(line_min_gap(g1, g2)[0] - 0.52722) <= 1e-5
+        assert abs(float(exact_line_gap(g1, h2, (0.46, -11.74))[0]) - 0.52722) <= 1e-5
+        with pytest.raises(DomainError, match="only known to within"):
+            line_min_gap(g1, h2)
 
     # -5 raised ValueError from math.sqrt, 2.5 was accepted, 0 scanned a 2x2
     # grid, and 10**400 raised OverflowError from math.sqrt
@@ -420,6 +435,172 @@ class TestGapScanStops:
         with pytest.raises(DomainError):
             curve_min_gap(lambda t: geodesic_point(g1, t),
                           lambda t: geodesic_point(g2, t), samples=samples)
+
+    # True scanned a 2x2 grid: operator.index reads it as 1
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_samples_rejected(self, flag):
+        g1 = parallel_family(E1, E2, 2.0)
+        g2 = two_vector_form_to_line(E1, E2)
+        with pytest.raises(DomainError, match="integer"):
+            line_min_gap(g1, g2, samples=flag)
+        with pytest.raises(DomainError, match="integer"):
+            curve_min_gap(lambda t: geodesic_point(g1, t),
+                          lambda t: geodesic_point(g2, t), samples=flag)
+
+
+def skew_pair(rng, dim, scale=1.0, apart=False):
+    """Two random lines: the first based at |a| = scale, the second at a
+    random offset in [-1, 1]^dim from it (so the two run close by), or,
+    with ``apart``, at an independent point with |a| = scale."""
+    a = scale * random_unit(rng, dim)
+    b = scale * random_unit(rng, dim) if apart else a + rng.uniform(-1.0, 1.0, dim)
+    return Geodesic(a, rng.standard_normal(dim)), Geodesic(b, rng.standard_normal(dim))
+
+
+def rebased(g, t):
+    """The same line re-based with line_through at its point t."""
+    return line_through(geodesic_point(g, t), geodesic_point(g, t + 1.0))
+
+
+def ideal_line(xi, eta):
+    """The line with ideal ends xi and eta (unit vectors), based at its point
+    closest to the origin and running towards xi."""
+    xi, eta = np.asarray(xi, float), np.asarray(eta, float)
+    chord = np.linalg.norm(xi - eta)
+    return Geodesic((xi + eta) / chord, (xi - eta) / chord)
+
+
+def check_against_oracle(g1, g2, rtol):
+    """line_min_gap either raises DomainError or returns (gap, s, t) within
+    rtol (relative) plus 1e-14 of the 120-digit gap, with gap the distance
+    between the two reported points.  Returns whether it raised."""
+    try:
+        gap, s, t = line_min_gap(g1, g2)
+    except DomainError:
+        return True
+    exact = float(exact_line_gap(g1, g2, (s, t))[0])
+    assert abs(gap - exact) <= rtol * exact + 1e-14, (gap, exact)
+    assert gap == hyperbolic_distance(geodesic_point(g1, s), geodesic_point(g2, t))
+    return False
+
+
+class TestLineMinGapClosedForm:
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
+    def test_skew_lines_match_oracle(self, dim):
+        # random lines based in [-1, 1]^dim; in H^2 about half of them meet
+        rng = np.random.default_rng(30 + dim)
+        for _ in range(12):
+            g1, g2 = (Geodesic(rng.uniform(-1, 1, dim), rng.standard_normal(dim)) for _ in range(2))
+            assert not check_against_oracle(g1, g2, 1e-13)
+
+    # At most this many raises per cell of 8 nearby and 8 apart pairs (what
+    # these draws give).  At 1e2 in H^2, nearby pairs meet or nearly so at
+    # |x| ~ 1e2, where coordinates carry ~1e-14 of rounding; at 1e4 and 1e6
+    # the closest points' coordinates carry ~1e-12 and ~1e-10 of it, so
+    # only pairs far apart (gaps ~20) return there.
+    @pytest.mark.parametrize("scale, dim, nearby_raised, apart_raised", [
+        (1.0, 2, 0, 0), (1.0, 3, 0, 0), (1.0, 5, 0, 0), (1.0, 8, 0, 0),
+        (1e2, 2, 6, 0), (1e2, 3, 0, 0), (1e2, 5, 0, 0), (1e2, 8, 0, 0),
+        (1e4, 2, 8, 6), (1e4, 3, 8, 5), (1e4, 5, 8, 1), (1e4, 8, 8, 0),
+        (1e6, 2, 8, 8), (1e6, 3, 8, 8), (1e6, 5, 8, 8), (1e6, 8, 8, 8),
+    ])
+    def test_far_base_points_match_oracle_or_raise(self, scale, dim, nearby_raised,
+                                                   apart_raised):
+        rng = np.random.default_rng(int(7 * dim + math.log10(scale)))
+        rtol = 1e-13 if scale <= 1e2 else 1e-12
+        for apart, expected in ((False, nearby_raised), (True, apart_raised)):
+            raised = sum(check_against_oracle(*skew_pair(rng, dim, scale, apart), rtol)
+                         for _ in range(8))
+            assert raised <= expected
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_intersecting_lines_meet_at_the_intersection(self, dim):
+        rng = np.random.default_rng(60 + dim)
+        for _ in range(10):
+            p = rng.uniform(-2.0, 2.0, dim)
+            gap, s, t = line_min_gap(Geodesic(p, rng.standard_normal(dim)),
+                                     Geodesic(p, rng.standard_normal(dim)))
+            assert gap <= 1e-14 and abs(s) <= 1e-14 and abs(t) <= 1e-14
+
+    def test_common_perpendicular_far_outside_window_raises(self):
+        # both lines re-based 12 or 30 units along themselves: the closest
+        # pair lies 12 or 30 back from base points at |x| ~ 1e5 or ~1e13,
+        # where geodesic_point's coordinates carry far more than 1e-12 of
+        # the gap; the scan would return an upper bound at the window's edge
+        rng = np.random.default_rng(70)
+        for dim in (2, 3, 5):
+            g1, g2 = skew_pair(rng, dim)
+            for t in (12.0, -12.0, 30.0, -30.0):
+                with pytest.raises(DomainError):
+                    line_min_gap(rebased(g1, t), rebased(g2, -t))
+                with pytest.raises(DomainError):
+                    line_min_gap(g1, rebased(g2, t))
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_rebasing_nearby_leaves_gap_unchanged(self, dim):
+        # line_through's own rounding grows with the new base point, so
+        # re-basing stays within 3 units, where it moves the line by ~1e-14
+        rng = np.random.default_rng(80 + dim)
+        for _ in range(6):
+            g1, g2 = skew_pair(rng, dim)
+            gap = line_min_gap(g1, g2)[0]
+            for t in (1.0, -1.0, 3.0, -3.0):
+                for h1, h2 in ((rebased(g1, t), g2), (g1, rebased(g2, t))):
+                    try:
+                        moved = line_min_gap(h1, h2)[0]
+                    except DomainError:
+                        continue  # coordinates at |x| ~ 20 for a small gap
+                    assert abs(moved - gap) <= 1e-12 * gap + 1e-14
+
+    def test_nearly_asymptotic_pairs_raise_or_match(self):
+        # lines sharing one ideal end up to an angle eps: the closest pair
+        # drifts towards that end as eps shrinks, ~log(1/eps) out
+        for dim in (2, 3):
+            xi = np.eye(dim)[0]
+            rot = np.eye(dim)
+            for eps in (1e-1, 1e-2, 1e-4, 1e-8):
+                rot[:2, :2] = [[math.cos(eps), -math.sin(eps)], [math.sin(eps), math.cos(eps)]]
+                raised = check_against_oracle(ideal_line(xi, -xi),
+                                              ideal_line(rot @ xi, np.eye(dim)[1]), 1e-12)
+                assert raised == (eps < 1e-2)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_asymptotic_and_coincident_lines_raise(self, dim):
+        # a shared ideal end: no closest pair exists
+        xi, eta = np.eye(dim)[0], -np.eye(dim)[1]
+        for g2 in (ideal_line(xi, eta), ideal_line(xi, -xi), ideal_line(-xi, xi)):
+            with pytest.raises(DomainError):
+                line_min_gap(ideal_line(xi, -xi), g2)
+
+    def test_h1_gap_is_zero(self):
+        g1, g2 = Geodesic([0.3], [2.0]), Geodesic([-5.0], [-1.0])
+        gap, s, t = line_min_gap(g1, g2)
+        assert gap == 0.0 and s == 0.0
+        assert hyperbolic_distance(geodesic_point(g2, t), g1.a) <= 1e-14
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionError):
+            line_min_gap(Geodesic([0.0, 0.0], [1.0, 0.0]), Geodesic([0.0, 0.0, 1.0], [1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_scan_agrees_inside_window(self, dim):
+        rng = np.random.default_rng(90 + dim)
+        for _ in range(4):
+            g1, g2 = (Geodesic(rng.uniform(-1, 1, dim), rng.standard_normal(dim)) for _ in range(2))
+            gap, s, t = line_min_gap(g1, g2)
+            if gap < 1e-3:
+                continue  # a meeting pair: the scan's stop is absolute there
+            assert max(abs(s), abs(t)) < 10.0
+            scanned = curve_min_gap(lambda u: geodesic_point(g1, u), lambda u: geodesic_point(g2, u))
+            assert abs(scanned[0] - gap) <= 1e-12 * gap
+
+    def test_benchmark_gap_units_exact(self):
+        # parallel-family pairs built as the benchmark builds its gap units
+        for seed in range(6):
+            a, b, mu = ultraparallel_problem(seed)
+            exact = exact_ultraparallel_gap(a, b, mu)
+            gap = line_min_gap(parallel_family(a, b, mu), two_vector_form_to_line(a, b))[0]
+            assert abs(gap - exact) <= 1e-15 * exact
 
 
 class TestParallelFamily:

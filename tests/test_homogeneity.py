@@ -73,6 +73,12 @@ class TestOmegaValidate:
             with pytest.raises(DomainError):
                 omega_validate(builtin_gauge("identity"), grid_size=bad)
 
+    # True read as a count of 1 ("must be at least 2, got 1")
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_grid_size_bool_rejected(self, flag):
+        with pytest.raises(DomainError, match="integer"):
+            omega_validate(builtin_gauge("identity"), grid_size=flag)
+
     # a list raised TypeError: unhashable type
     @pytest.mark.parametrize("name", [["sqrt"], None, 3, "nope"])
     def test_bad_gauge_name_rejected(self, name):
@@ -312,6 +318,12 @@ class TestProjectiveCounterexample:
         for bad in (2.5, np.float64(3.0), "3", None, 2**31, 10**30, 10**400):
             with pytest.raises(DomainError):
                 projective_counterexample(bad)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_dimension_rejected(self, flag):
+        # True was the count 1 and raised DimensionError
+        with pytest.raises(DomainError, match="integer"):
+            projective_counterexample(flag)
 
 
 class TestSphereFitRotation:

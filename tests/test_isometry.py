@@ -118,6 +118,12 @@ class TestIsometry:
         with pytest.raises(DomainError):
             identity_isometry(dim)
 
+    # True was the 1-dimensional identity: operator.index accepts a bool
+    @pytest.mark.parametrize("dim", [True, False])
+    def test_identity_dimension_bool_rejected(self, dim):
+        with pytest.raises(DomainError):
+            identity_isometry(dim)
+
     @pytest.mark.parametrize("dim", [-1, 0])
     def test_identity_dimension_below_one(self, dim):
         with pytest.raises(DimensionError):

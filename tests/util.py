@@ -27,7 +27,7 @@ def naive_argument(x, y):
     return bx * by - float(x @ y)
 
 
-def exact_hyperbolic_distance(x, y, dps=50):
+def exact_hyperbolic_distance(x, y, dps=120):
     """High-precision reference value of the hyperbolic distance.  Float
     coordinates count at their exact binary64 value, mpf ones as they are."""
     with mp.workdps(dps):
@@ -37,6 +37,43 @@ def exact_hyperbolic_distance(x, y, dps=50):
         by = mp.sqrt(1 + mp.fsum(v * v for v in ym))
         ip = mp.fsum(a * b for a, b in zip(xm, ym))
         return float(mp.acosh(bx * by - ip))
+
+
+def exact_line_gap(g1, g2, start=(0.0, 0.0), dps=120):
+    """Distance between two lines (``Geodesic``s), in ``dps``-digit arithmetic.
+
+    Each line is lifted exactly from its float base point and direction (the
+    direction normalized in mpmath) as Gamma(t) = cosh t A + sinh t W on the
+    hyperboloid.  Newton's method (``mp.findroot``, started at ``start``)
+    solves df/ds = df/dt = 0 for f(s, t) = -<Gamma1(s), Gamma2(t)> = cosh d,
+    whose only stationary point is the closest pair when the lines are
+    neither asymptotic nor coincident.  Returns ``(gap, s, t)`` as mpf.
+    """
+    with mp.workdps(dps):
+        def lift(g):
+            a = [mp.mpf(float(v)) for v in g.a]
+            z = [mp.mpf(float(v)) for v in g.z]
+            nz = mp.sqrt(mp.fsum(v * v for v in z))
+            ba = mp.sqrt(1 + mp.fsum(v * v for v in a))
+            za = mp.fsum(u * v for u, v in zip(z, a)) / nz
+            w = [u / nz + za / (ba + 1) * v for u, v in zip(z, a)]
+            return [ba] + a, [mp.fsum(u * v for u, v in zip(w, a)) / ba] + w
+
+        def neg_mink(x, y):
+            return x[0] * y[0] - mp.fsum(u * v for u, v in zip(x[1:], y[1:]))
+
+        (A1, W1), (A2, W2) = lift(g1), lift(g2)
+        m = [[neg_mink(A1, A2), neg_mink(A1, W2)], [neg_mink(W1, A2), neg_mink(W1, W2)]]
+
+        def f(s, t, ds=0, dt=0):
+            # derivative orders ds, dt of f; cosh'' = cosh, sinh'' = sinh
+            e1 = [mp.cosh(s), mp.sinh(s)][::-1 if ds else 1]
+            e2 = [mp.cosh(t), mp.sinh(t)][::-1 if dt else 1]
+            return mp.fsum(e1[i] * m[i][j] * e2[j] for i in range(2) for j in range(2))
+
+        s, t = mp.findroot(lambda s, t: [f(s, t, 1, 0), f(s, t, 0, 1)],
+                           (mp.mpf(start[0]), mp.mpf(start[1])))
+        return mp.acosh(max(f(s, t), mp.mpf(1))), s, t
 
 
 def exact_translation_apply(y, x, dps=120):
