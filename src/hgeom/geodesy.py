@@ -25,6 +25,7 @@ import numpy as np
 from .core import (DEFAULT_TOL, _bracket, _count, _distance, _dot, _pair, _quiet_overflow,
                    _real, _reals, _scaled, _vector, as_point, hyperbolic_distance,
                    points_equal, require_finite)
+from ._dd import minkowski_excess, two_prod, two_sum
 from .errors import DegenerateInputError, DimensionError, DomainError
 from .isometry import _apply, _translate
 
@@ -394,45 +395,69 @@ def curve_min_gap(curve_a, curve_b, samples=10_000):
         half /= _REFINE_SHRINK
 
 
-# line_min_gap returns a gap only if its error bound is within 1e-12 of it
-# plus 1e-14; the bound charges 4 roundings (2**-53) to each term |sinh s| |w|
-# and cosh s |a| of the two points (the worst measured was one).
-_GAP_RTOL, _GAP_ATOL, _POINT_ROUNDING = 1e-12, 1e-14, 4.0 * 2.0**-53
+# line_min_gap returns a gap only when its error estimate is within
+# _GAP_RTOL * gap + _GAP_ATOL (README, "Numerical notes")
+_GAP_RTOL, _GAP_ATOL, _EPS = 1e-12, 1e-13, 2.0**-53
+
+
+def _moved(p, x, v, e):
+    # T_{-p}(x) and its differential at x applied to v, for rows x and v,
+    # given the excesses e = [p][x] - <p,x> - 1; written around d = x - p so
+    # that x near p loses nothing to cancellation (x = p maps to exactly 0)
+    d = x - p
+    bp, bx = _bracket(p), _bracket(x)
+    r = _dot(d, x + p) / (bp + bx)  # [x] - [p]
+    c = d - ((r + e) / (1.0 + bp))[:, None] * p
+    m = (x + bp * d - r[:, None] * p) / (bx * (bp + 1.0))[:, None]  # x/[x] - p/([p]+1)
+    return c, v - _dot(v, m)[:, None] * p
 
 
 def _closest_step(w, a):
-    # (s, t) of the closest pair of the lines sinh(u) w[i] + cosh(u) a[i]
-    # (Ratcliffe, Foundations of Hyperbolic Manifolds, ch. 3).  Line i has the
-    # null ends E[i, +-] = A +- W, A = ([a], a), W = (<w,a>/[a], w); with the
-    # Minkowski N[j, k] = -<E[0, j], E[1, k]> = |E[0, j] - E[1, k]|^2 / 2 (a
-    # difference: accurate when two ends nearly meet), 4 cosh d(s, t) =
-    # sum_jk e^(+-s) e^(+-t) N[j, k] is least at e^(4s) = N-- N-+ / (N+- N++)
-    # and e^(4t) = N-- N+- / (N-+ N++).
+    # (s, t) of the closest pair of the lines sinh(u) w[i] + cosh(u) a[i],
+    # from the Minkowski products N of their null ends (README, "Numerical
+    # notes"), each half the square of a difference of ends
     ba = _bracket(a)
-    lift_a = np.concatenate((ba[:, None], a), axis=1)
-    lift_w = np.concatenate(((_dot(w, a) / ba)[:, None], w), axis=1)
-    ends = lift_a[:, None] + np.array([1.0, -1.0])[:, None] * lift_w[:, None]
+    lift = np.empty((2, 2, a.shape[1] + 1))  # A and W of each line
+    lift[:, 0, 0], lift[:, 0, 1:] = ba, a
+    lift[:, 1, 0], lift[:, 1, 1:] = _dot(w, a) / ba, w
+    ends = lift[:, :1] + np.array([[1.0], [-1.0]]) * lift[:, 1:]
     d = ends[0][:, None] - ends[1][None]
     n = 0.5 * (_dot(d[..., 1:], d[..., 1:]) - d[..., 0] ** 2)
-    if not np.all((n > 0.0) & (n < np.inf)):  # also false on NaN
+    (pp, pm), (mp, mm) = n.tolist()
+    if not all(0.0 < x < math.inf for x in (pp, pm, mp, mm)):  # also false on NaN
         raise DomainError("the lines have no closest pair in double range: they "
                           "are asymptotic, coincident or nearly so")
-    ln = np.log(n)
-    return 0.25 * np.array([ln[1].sum() - ln[0].sum(), ln[:, 1].sum() - ln[:, 0].sum()])
+    pp, pm, mp, mm = map(math.log, (pp, pm, mp, mm))
+    return 0.25 * np.array([(mp + mm) - (pp + pm), (pm + mm) - (pp + mp)])
+
+
+def _rounding(w, a, u, exact):
+    # how far geodesic_point's sinh(u) w + cosh(u) a, summed over the rows,
+    # may lie off the lines: its own roundings (exactly, or 2**-53 of each
+    # result), plus 2**-53 of sinh(u) w and of cosh(u) a for the inputs (of
+    # cosh(u) only what u^2/2 allows, so u = 0 costs nothing)
+    sh, ch = np.sinh(u)[:, None], np.cosh(u)[:, None]
+    if exact:
+        x, ex = two_prod(sh, w)
+        y, ey = two_prod(ch, a)
+        own = ex + ey + two_sum(x, y)[1]
+    else:
+        x, y = sh * w, ch * a
+        own = _EPS * (abs(x) + abs(y) + abs(x + y))
+    terms = np.stack([own, _EPS * abs(sh) * w, np.minimum(_EPS * ch, 0.5 * (u * u)[:, None]) * a])
+    return float(np.sqrt(_dot(terms, terms)).sum())
 
 
 @_quiet_overflow
 def line_min_gap(g1: Geodesic, g2: Geodesic, samples=10_000):
-    """Distance between two lines in closed form, with no parameter window:
-    ``(gap, s, t)``, ``gap`` being the distance between ``geodesic_point(g1,
-    s)`` and ``geodesic_point(g2, t)``, within 1e-12 (relative) plus 1e-14 of
-    the lines' distance (<= 1e-14 for intersecting lines, 0 in H^1).  The
-    form is applied three times, each to the lines re-based at the pair found
-    so far.  DomainError for asymptotic or coincident lines, for closest
-    points that overflow, or whose rounding (far from the origin or the base
-    points) could move the gap past that bound; DimensionError for lines of
-    different dimensions.  ``samples`` is validated, then unused; it stays
-    until the benchmark's set-up stops passing it."""
+    """Distance between two lines in closed form, with no parameter window
+    (README, "Numerical notes"): ``(gap, s, t)``, ``gap`` being the distance
+    between ``geodesic_point(g1, s)`` and ``geodesic_point(g2, t)``, within
+    1e-12 (relative) plus 1e-13 of the lines' distance by its error estimate.
+    DomainError where the estimate is larger, for asymptotic or coincident
+    lines and for closest points that overflow; DimensionError for lines of
+    different dimensions.  ``samples`` is validated, then unused, until the
+    benchmark's set-up stops passing it."""
     _count(samples, "samples", 1)
     if g1.dim != g2.dim:
         raise DimensionError("the two lines have different dimensions")
@@ -441,22 +466,30 @@ def line_min_gap(g1: Geodesic, g2: Geodesic, samples=10_000):
         return 0.0, 0.0, float(g2.z[0] * (np.arcsinh(a1[0]) - np.arcsinh(a2[0])))
     w, a, st = np.stack([w1, w2]), np.stack([a1, a2]), np.zeros(2)
     for _ in range(3):
-        # re-base at the points p found so far: sinh(s+u) w + cosh(s+u) a =
-        # sinh(u) (cosh(s) w + sinh(s) a) + cosh(u) p
-        ch, sh = np.cosh(st)[:, None], np.sinh(st)[:, None]
-        step = _closest_step(ch * w + sh * a, sh * w + ch * a)
+        # solve on the lines moved by T_{-p}, p the pair found so far, based
+        # at T_{-p}(p) with unit tangents there: line 1 then runs through 0
+        p = _sinh_cosh_point(w, a, st)
+        e = minkowski_excess(p[0], p[1])
+        half = math.asinh(math.sqrt(0.5 * e))  # half the distance within p
+        c, v = _moved(p[0], p, _sinh_cosh_point(a, w, st), np.array([0.0, e]))
+        step = _closest_step(v, c)
         st += step
-    (s, t), (ds, dt) = st.tolist(), step.tolist()
-    gap = float(_distance(_sinh_cosh_point(w1, a1, s), _sinh_cosh_point(w2, a2, t)))
-    # error bound: the points' rounding, plus the last step's move to first
-    # order, or to second order near a positive gap (d's Hessian <= coth(gap/2))
-    move = abs(ds) + abs(dt)
+        if abs(step).max() <= 2.0**-26 * math.tanh(half):
+            break  # the step moves the gap by rounding only (see move below)
+    s, t = st.tolist()
+    q = _sinh_cosh_point(w, a, st)  # geodesic_point(g1, s) and (g2, t), to the bit
+    gap = float(_distance(q[0], q[1]))
+    # the last step's effect on the gap: second order near a positive gap
+    # (d's Hessian is at most coth(gap/2)), and at most the gap it closed
+    move = abs(step).sum()
     if gap > 0.0:
         move *= min(1.0, move / math.tanh(0.5 * gap))
-    bound = move + _POINT_ROUNDING * sum(
-        abs(math.sinh(u)) * np.linalg.norm(v) + math.cosh(u) * np.linalg.norm(b)
-        for u, v, b in ((s, w1, a1), (t, w2, a2)))
-    if not bound <= _GAP_RTOL * gap + _GAP_ATOL:
+    move = min(move, abs(2.0 * half - gap))
+    # the cheap bound on the points' rounding first, the exact one if needed
+    err = move + _rounding(w, a, st, False)
+    if not err <= _GAP_RTOL * gap + _GAP_ATOL:
+        err = move + _rounding(w, a, st, True)
+    if not err <= _GAP_RTOL * gap + _GAP_ATOL:
         raise DomainError(f"the closest points lie too far from the origin or the base "
-                          f"points: the gap {gap!r} is only known to within {bound:.1e}")
+                          f"points: the gap {gap!r} is only known to within {err:.1e}")
     return gap, s, t
