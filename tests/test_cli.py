@@ -8,7 +8,7 @@ import pytest
 from hgeom import cli, hyperbolic_distance, isometry_apply
 from hgeom.core import poincare_coords
 
-from util import drifting_one_point_fit, random_isometry
+from util import drifting_far_fit, random_isometry
 
 
 def run(capsys, argv):
@@ -145,7 +145,7 @@ class TestFit:
         assert "pair" in err
 
     def test_decomposition_drift_exits_3(self, capsys, tmp_path):
-        src, tgt = drifting_one_point_fit()
+        src, tgt = drifting_far_fit()
         path = tmp_path / "pairs.json"
         path.write_text(json.dumps({"source": src.tolist(), "target": tgt.tolist()}))
         code, out, err = run(capsys, ["fit", str(path)])

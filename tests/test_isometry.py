@@ -31,7 +31,8 @@ from hgeom import core, geodesy, isometry
 from hgeom.isometry import APPLY_BLOCK, FIT_DISTANCE_TOL
 
 from util import (
-    drifting_one_point_fit,
+    dim32_one_point_fit,
+    drifting_far_fit,
     exact_hyperbolic_distance,
     exact_isometry_apply,
     exact_translation_apply,
@@ -340,6 +341,15 @@ class TestComposeInvert:
         with pytest.raises(DimensionError):
             isometry_compose(identity_isometry(2), identity_isometry(3))
 
+    # each raises as an overflow, not as drift "by nan"
+    @pytest.mark.parametrize("amag", [1e160, 1e200])
+    def test_overflow_raises(self, amag):
+        g = Isometry([amag, 0.0], np.eye(2))
+        with pytest.raises(DomainError, match="overflows"):
+            isometry_compose(g, g)
+        with pytest.raises(PartialIsometryError, match="overflows"):
+            fit_isometry([[amag, 0.0]], [[0.0, amag]])
+
 
 def _isometry_at(rng, dim, amag):
     """Random isometry whose translation part has length ``amag``."""
@@ -373,15 +383,24 @@ class TestComposeExact:
                 c = isometry_compose(outer, inner)
                 assert _worst_compose_miss(c, outer, inner, probes) <= 1e-7
 
-    @pytest.mark.parametrize("amag", [1e4, 3e4, 1e5])
+    @pytest.mark.parametrize("amag", [1e2, 3e2, 1e3])
+    @pytest.mark.parametrize("dim", [2, 5, 32])
+    def test_two_far_maps_return_and_match(self, dim, amag):
+        rng = np.random.default_rng([dim, int(amag)])
+        for _ in range(4):
+            g, h = _isometry_at(rng, dim, amag), _isometry_at(rng, dim, amag)
+            c = isometry_compose(g, h)
+            assert _worst_compose_miss(c, g, h, rng.uniform(-1.0, 1.0, (3, dim))) <= 1e-7
+
+    @pytest.mark.parametrize("amag", [1e4, 3e4, 1e5, 1e7])
     def test_far_inverse_pair_raises_or_matches(self, amag):
-        # composing with the inverse loses about |a|^2 * eps; once the
-        # decomposition's drift certificate fails the call must raise.  At
-        # this seed, maps returned without that certificate miss by 1e-7 to
-        # 3e-6 at |a| = 3e4 and 1e5.
+        # composing with the inverse loses about |a|^2 * eps; once the drift
+        # certificate fails the call must raise.  At this seed, maps returned
+        # without that certificate miss by up to 8e-7 at |a| = 3e4, 9e-6 at
+        # 1e5 and 6e-2 at 1e7.
         rng = np.random.default_rng(0)
         for _ in range(2):
-            for dim in (2, 3, 5):
+            for dim in (2, 3, 5, 32):
                 g = _isometry_at(rng, dim, amag)
                 gi = isometry_invert(g)
                 probes = rng.uniform(-1.0, 1.0, (3, dim))
@@ -473,17 +492,24 @@ class TestFitIsometry:
             fit_isometry(pts, bad)
 
     def test_decomposition_drift_raises(self, monkeypatch):
-        src, tgt = drifting_one_point_fit()
+        src, tgt = drifting_far_fit()
         with pytest.raises(PartialIsometryError, match="drifts from orthogonal"):
             fit_isometry(src, tgt)
-        # without the certificate the fit passes its residual contract (1e-6)
-        # yet misses its own target in exact arithmetic
+        # without the certificate the fit passes its residual contract
+        # (1e-6 (1 + D)) yet misses its own targets in exact arithmetic
         monkeypatch.setattr(isometry, "DECOMPOSE_DRIFT_TOL", 1.0)
         res = fit_isometry(src, tgt)
-        miss = exact_hyperbolic_distance(
-            exact_isometry_apply(res.isometry, src[0]), tgt[0], dps=120
-        )
+        miss = max(exact_hyperbolic_distance(exact_isometry_apply(res.isometry, p), q)
+                   for p, q in zip(src, tgt))
         assert miss > 1e-7
+
+    def test_dim32_one_point_fit_meets_oracle(self):
+        # |a| ~ 5e3 and |p0| ~ 17 magnify the fitted U's error; read off one
+        # Lorentz product, the fit returns and meets its target
+        src, tgt = dim32_one_point_fit()
+        res = fit_isometry(src, tgt)
+        miss = exact_hyperbolic_distance(exact_isometry_apply(res.isometry, src[0]), tgt[0])
+        assert miss <= 1e-7
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):

@@ -114,11 +114,20 @@ def random_isometry(rng, n, box=5.0):
     return Isometry(rng.uniform(-box, box, n), random_orthogonal(rng, n))
 
 
-def drifting_one_point_fit():
-    """A dim-32 one-point fit (source, target) whose conjugated map drifts
-    1.5e-8 from orthogonal at the origin; decomposed regardless, it misses
-    its own target by 8e-7."""
+def dim32_one_point_fit():
+    """A dim-32 one-point fit (source, target) with |source| ~ 17 and a fitted
+    translation part of |a| ~ 5e3, which magnify any error in the fitted U."""
     rng = np.random.default_rng(54)
     g = random_isometry(rng, 32)
     src = rng.uniform(-5.0, 5.0, (1, 32))
+    return src, isometry_apply(g, src)
+
+
+def drifting_far_fit():
+    """A dim-3 fit (source, target) of five points at coordinate scale 3e3
+    whose Lorentz product drifts ~2.4e-8 from orthogonal, about 4x the
+    certificate; read off regardless, it misses its targets by ~1.5e-5."""
+    rng = np.random.default_rng(15)
+    g = random_isometry(rng, 3)
+    src = rng.uniform(-3e3, 3e3, (5, 3))
     return src, isometry_apply(g, src)
