@@ -24,7 +24,6 @@ from .core import (
     poincare_coords,
     projective_distance,
     sphere_distance,
-    sphere_point,
 )
 from .errors import GeometryError, PartialIsometryError
 
@@ -88,9 +87,9 @@ def cmd_dist(args):
     elif args.metric == "euclidean":
         d = euclidean_distance(x, y)
     elif args.metric == "sphere":
-        d = sphere_distance(sphere_point(x), sphere_point(y))
+        d = sphere_distance(x, y)
     else:
-        d = projective_distance(sphere_point(x), sphere_point(y))
+        d = projective_distance(x, y)
     print(_fmt(d, _sig(args)))
     return 0
 

@@ -7,7 +7,9 @@ distance to another point is
 
 Alongside d_h this module provides the plain Euclidean distance, the
 great-circle metric on the unit sphere (normalized to diameter 1), and the
-projective metric on antipodal classes of unit vectors.
+projective metric on antipodal classes.  A sphere or projective point is any
+finite nonzero vector, standing for its direction; both metrics are the
+angle between two directions, taken from one compensated wedge (``_wedge``).
 
 All functions broadcast: coordinates live on the last axis, leading axes are
 batch axes.  Scalars come back as plain floats when the inputs were single
@@ -31,7 +33,6 @@ __all__ = [
     "euclidean_distance",
     "sphere_point",
     "sphere_distance",
-    "proj_point",
     "projective_distance",
     "proj_points_equal",
     "points_equal",
@@ -224,7 +225,8 @@ def euclidean_distance(x, y):
 
 
 def sphere_point(v):
-    """Normalize ``v`` onto the unit sphere of its ambient space."""
+    """Normalize ``v`` onto the unit sphere of its ambient space; the zero
+    vector raises DegenerateInputError."""
     w = _scaled(as_point(v, "sphere point"))[0]
     n = np.linalg.norm(w, axis=-1, keepdims=True)
     if np.any(n == 0.0):
@@ -232,50 +234,49 @@ def sphere_point(v):
     return w / n
 
 
-def _check_unit(x, name):
-    n = np.linalg.norm(x, axis=-1)
-    if np.any(np.abs(n - 1.0) > 1e-6):
-        raise DomainError(f"{name} is not a unit vector (|{name}| = {n!r})")
+def _wedge(x, y):
+    # (W, c) = (|x^y|, <x, y>) of validated vectors up to one common positive
+    # factor, over the last axis, so atan2(W, c) is the angle between them.
+    # Both are first rescaled exactly by powers of two.  W is the wedge of a
+    # with u = b - (c/|a|^2) a, the part of b off a, formed by error-free
+    # products and sums: a^b = a^u for any multiple of a taken away, and
+    # |a|^2 |u|^2 - <a,u>^2 barely cancels.  The smaller W of both orders
+    # (a, b) = (x, y), (y, x) makes it symmetric to the bit; y = +-2^k x gives
+    # W = 0 exactly.
+    x, y = np.broadcast_arrays(_scaled(x)[0], _scaled(y)[0])
+    a = np.stack([x, y])
+    n, c = _dot(a, a), _dot(x, y)
+    if not np.all(n > 0.0):
+        raise DegenerateInputError("a direction cannot be the zero vector")
+    p, e = _dd.two_prod((c / n)[..., None], a)
+    s, t = _dd.two_sum(a[::-1], -p)
+    u = s + (t - e)
+    return np.sqrt(np.maximum(n * _dot(u, u) - _dot(a, u) ** 2, 0.0)).min(axis=0), c
 
 
-@_quiet_overflow
 def sphere_distance(x, y):
-    """Great-circle distance (1/pi) * arccos(<x, y>) between unit vectors.
+    """Great-circle distance theta/pi between the directions of x and y,
+    theta = atan2(|x^y|, <x, y>).
 
-    Normalized so the sphere has diameter 1; antipodal pairs are at distance
-    exactly 1.  Uses the atan2 chord form, which is stable at both ends of
-    the range (coincident and antipodal pairs give exact 0 and 1).
+    Any finite nonzero vectors; a zero vector raises DegenerateInputError.
+    Normalized so the sphere has diameter 1: x against 2x gives exactly 0
+    and x against -2x exactly 1.  Symmetric to the bit, and within 4.5e-16
+    relative of a 120-digit angle down to 1e-12 from 0 and pi, at norms
+    from 1e-9 to 1e3.
     """
-    x, y = _pair(x, y)
-    _check_unit(x, "x")
-    _check_unit(y, "y")
-    theta = 2.0 * np.arctan2(
-        np.linalg.norm(x - y, axis=-1), np.linalg.norm(x + y, axis=-1)
-    )
-    return _scalarize(theta / np.pi)
+    w, c = _wedge(*_pair(x, y))
+    return _scalarize(np.arctan2(w, c) / np.pi)
 
 
-def proj_point(v):
-    """A representative of the antipodal class {v, -v}, normalized to unit
-    length.  Both representatives denote the same projective point; every
-    projective operation here is invariant under the sign choice."""
-    return sphere_point(v)
-
-
-@_quiet_overflow
 def projective_distance(u, v):
-    """Projective distance (2/pi) * arccos(|<u, v>|) between antipodal classes.
+    """Projective distance (2/pi) atan2(|u^v|, |<u, v>|) between the lines
+    spanned by u and v.
 
-    Independent of the chosen representatives; reps u and -u are at distance
-    exactly 0.
+    Any finite nonzero representatives, as :func:`sphere_distance`; u
+    against -3u gives exactly 0, and the accuracy is the same.
     """
-    u, v = _pair(u, v)
-    _check_unit(u, "u")
-    _check_unit(v, "v")
-    dm = np.linalg.norm(u - v, axis=-1)
-    dp = np.linalg.norm(u + v, axis=-1)
-    theta = 2.0 * np.arctan2(np.minimum(dm, dp), np.maximum(dm, dp))
-    return _scalarize(2.0 * theta / np.pi)
+    w, c = _wedge(*_pair(u, v))
+    return _scalarize(2.0 * np.arctan2(w, np.abs(c)) / np.pi)
 
 
 @_quiet_overflow
@@ -289,9 +290,11 @@ def points_equal(x, y):
 
 
 def proj_points_equal(u, v):
-    """Equality of antipodal classes: representatives agree up to sign
-    (within ``DEFAULT_TOL``, as :func:`points_equal`)."""
-    return points_equal(u, v) | points_equal(u, -np.asarray(v, float))
+    """Equality of the lines spanned by nonzero u and v: their
+    :func:`sphere_point` representatives agree up to sign (within
+    ``DEFAULT_TOL``, as :func:`points_equal`)."""
+    u, v = sphere_point(u), sphere_point(v)
+    return points_equal(u, v) | points_equal(u, -v)
 
 
 @_quiet_overflow

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_TOL, _bracket, _count, _distance, _dot, _pair, _quiet_overflow,
-                   _real, _reals, _scaled, _vector, as_point, hyperbolic_distance,
+                   _real, _reals, _scaled, _vector, _wedge, as_point, hyperbolic_distance,
                    points_equal, require_finite)
 from ._dd import minkowski_excess, two_prod, two_sum
 from .errors import DegenerateInputError, DimensionError, DomainError
@@ -187,13 +187,9 @@ def metrically_collinear(a, b, c):
 
 
 def _independent(a, b):
-    a, b = _scaled(a)[0], _scaled(b)[0]  # exact rescaling: the norms cannot overflow
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return False
-    # Gram determinant of the normalized pair = sin^2 of their angle
-    det = 1.0 - (float(a @ b) / (na * nb)) ** 2
-    return det > 1e-12
+    # sin of their angle above 1e-6; DegenerateInputError for a zero vector
+    w, c = _wedge(a, b)
+    return bool(w > 1e-6 * np.hypot(w, c))
 
 
 @_quiet_overflow
@@ -262,21 +258,14 @@ def two_vector_point(a, b, t):
     return _sinh_cosh_point(*_pair(a, b, ("a", "b")), t)
 
 
-def _chord_angle(z1, z2):
-    # angle between unit vectors in the atan2 chord form (exact 0 and pi at
-    # the degenerate ends)
-    return float(
-        2.0 * math.atan2(np.linalg.norm(z1 - z2), np.linalg.norm(z1 + z2))
-    )
-
-
 def angle_measure(angle: Angle):
     """Measure in [0, pi] of the angle between the two rays.
 
     The stored directions already live in the frame translated to the
-    origin, where the measure is the Euclidean angle between them.
+    origin, where the measure is the Euclidean angle between them,
+    atan2(|z1^z2|, <z1, z2>): exactly 0 and pi at the ends.
     """
-    return _chord_angle(angle.z1, angle.z2)
+    return float(np.arctan2(*_wedge(angle.z1, angle.z2)))
 
 
 def is_right_angle(angle: Angle):
@@ -284,11 +273,10 @@ def is_right_angle(angle: Angle):
     rays (z1, z2), (-z2, z1), (z2, -z1), (-z1, -z2) are pairwise congruent
     (their measures agree within ``DEFAULT_TOL``), which happens exactly at
     measure pi/2."""
-    # (z2, -z1) repeats (-z2, z1) and (-z1, -z2) repeats (z1, z2) bit for
-    # bit, because negating a vector leaves |u - v| and |u + v| unchanged
-    straight = _chord_angle(angle.z1, angle.z2)
-    turned = _chord_angle(-angle.z2, angle.z1)
-    return bool(abs(straight - turned) <= DEFAULT_TOL)
+    # (z2, -z1) and (-z2, z1) measure pi - theta, atan2(W, -c), and
+    # (-z1, -z2) measures theta again
+    w, c = _wedge(angle.z1, angle.z2)
+    return bool(abs(np.arctan2(w, c) - np.arctan2(w, -c)) <= DEFAULT_TOL)
 
 
 @_quiet_overflow

@@ -22,15 +22,14 @@ import numpy as np
 from . import gram
 from .core import (
     DEFAULT_TOL,
-    _check_unit,
     _count,
     _point_lists,
-    _quiet_overflow,
     _reals,
     euclidean_distance,
     hyperbolic_distance,
     projective_distance,
     sphere_distance,
+    sphere_point,
 )
 from .errors import ConvergenceError, DimensionError, DomainError, GeometryError
 
@@ -360,19 +359,17 @@ def projective_counterexample(n=2):
     return ProjectiveCounterexample(x, y, z1, z2, float(margin), verified)
 
 
-@_quiet_overflow
 def sphere_fit_rotation(source, target):
     """Orthogonal matrix mapping source[i] -> target[i] on the sphere, or
     ``None`` when the Gram matrices differ by more than 1e-6 (absolute plus
-    relative).  Points must be unit vectors; any other point raises
-    DomainError.
+    relative).  Points are any nonzero vectors, standing for their
+    directions (:func:`sphere_point`); a zero vector raises
+    DegenerateInputError.
 
     The construction mirrors the hyperbolic fit: orthonormal frames with
     matching pivots, then the polar factor (off the span, some orthogonal map).
     """
-    src, tgt = _point_lists(source, target)
-    _check_unit(src, "source")
-    _check_unit(tgt, "target")
+    src, tgt = map(sphere_point, _point_lists(source, target))
     scale = float(np.max(np.abs(src @ src.T), initial=0.0))
     if gram.gram_mismatch(src, tgt) > _SPHERE_GRAM_TOL * (1.0 + scale):
         return None

@@ -33,6 +33,15 @@ class TestDist:
         assert code == 0
         assert float(out) == 0.5
 
+    def test_sphere_and_projective_take_any_nonzero_vector(self, capsys):
+        code, out, _ = run(capsys, ["dist", "--metric", "sphere", "[2,0]", "[0,3]"])
+        assert (code, out) == (0, "0.5\n")
+        code, out, _ = run(capsys, ["dist", "--metric", "projective", "[1,0]", "[-3,0]"])
+        assert (code, out) == (0, "0\n")
+        code, _, err = run(capsys, ["dist", "--metric", "sphere", "[0,0]", "[1,0]"])
+        assert code == 2
+        assert "zero vector" in err
+
     def test_euclidean(self, capsys):
         code, out, _ = run(capsys, ["dist", "--metric", "euclidean", "[3,4]", "[0,0]"])
         assert code == 0

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import sympy as sp
@@ -10,8 +11,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hgeom import (
+    Angle,
+    DegenerateInputError,
     DimensionError,
     DomainError,
+    angle_measure,
     bracket,
     euclidean_distance,
     hyperbolic_distance,
@@ -19,7 +23,6 @@ from hgeom import (
     poincare_coords,
     poincare_inverse,
     points_equal,
-    proj_point,
     proj_points_equal,
     projective_distance,
     sphere_distance,
@@ -28,7 +31,13 @@ from hgeom import (
 
 from hgeom import _dd
 
-from util import exact_hyperbolic_distance, naive_argument, naive_hyperbolic_distance, random_unit
+from util import (
+    exact_angle,
+    exact_hyperbolic_distance,
+    naive_argument,
+    naive_hyperbolic_distance,
+    random_unit,
+)
 
 # frozen oracle values (hand/high-precision evaluation of the closed forms)
 SQRT2 = 1.4142135623730951
@@ -78,6 +87,14 @@ class TestHyperbolicDistance:
         for _ in range(20):
             x = rng.uniform(-10, 10, rng.integers(1, 6))
             assert hyperbolic_distance(x, x) == 0.0
+
+    def test_oracle_exact_at_coincident_points(self):
+        # mp.acosh of an argument rounded just below 1 is complex, so float()
+        # raised TypeError on 51 of these draws; 54 more read ~1e-60
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            x = rng.uniform(-5.0, 5.0, rng.integers(2, 6))
+            assert exact_hyperbolic_distance(x, x) == 0.0
 
     def test_unit_from_origin(self):
         assert hyperbolic_distance([1.0], [0.0]) == pytest.approx(
@@ -405,9 +422,9 @@ class TestSphereDistance:
     def test_orthogonal_pair(self):
         assert sphere_distance([1.0, 0.0], [0.0, 1.0]) == 0.5
 
-    def test_non_unit_rejected(self):
-        with pytest.raises(DomainError):
-            sphere_distance([2.0, 0.0], [0.0, 1.0])
+    def test_non_unit_measured_by_direction(self):
+        # raised DomainError: points had to be unit vectors within 1e-6
+        assert sphere_distance([2.0, 0.0], [0.0, 1.0]) == 0.5
 
     def test_triangle_random(self):
         rng = np.random.default_rng(4)
@@ -429,7 +446,7 @@ class TestSphereDistance:
 
 class TestProjectiveDistance:
     def test_same_class(self):
-        u = proj_point([1.0, 2.0, 2.0])
+        u = sphere_point([1.0, 2.0, 2.0])
         assert projective_distance(u, u) == 0.0
         assert projective_distance(u, -u) == 0.0
 
@@ -464,9 +481,95 @@ class TestProjectiveDistance:
             assert projective_distance(u, v) == pytest.approx(ref, abs=1e-12)
 
     def test_equality_of_classes(self):
-        u = proj_point([1.0, 1.0])
+        u = sphere_point([1.0, 1.0])
         assert proj_points_equal(u, -u)
-        assert not proj_points_equal(u, proj_point([1.0, -1.0]))
+        assert not proj_points_equal(u, sphere_point([1.0, -1.0]))
+
+    def test_equality_of_any_representatives(self):
+        # compared the raw vectors, so [1, 0] and [-3, 0] differed although
+        # their projective distance is 0
+        assert proj_points_equal([1.0, 0.0], [-3.0, 0.0])
+        assert projective_distance([1.0, 0.0], [-3.0, 0.0]) == 0.0
+        assert not proj_points_equal([1.0, 0.0], [1.0, 1e-6])
+
+
+# name: (sign of the cosine, angle from 0 or pi, |x|, |y|); an angle of None
+# draws two independent directions
+ANGLE_REGIMES = {
+    "generic": (1.0, None, 1.0, 1.0),
+    "near_0_1e-7": (1.0, 1e-7, 1.0, 1.0),
+    "near_0_1e-12": (1.0, 1e-12, 1.0, 1.0),
+    "near_pi_1e-7": (-1.0, 1e-7, 1.0, 1.0),
+    "near_pi_1e-12": (-1.0, 1e-12, 1.0, 1.0),
+    "off_unit": (1.0, 1e-7, 1.0 + 9e-7, 1.0 - 9e-7),
+    "scaled": (1.0, 1e-7, 3.7, 1e3),
+    "scaled_1e-9": (1.0, 1e-7, 3.7e-9, 1e-6),
+}
+
+
+def _angle_pairs(regime, d, n=40):
+    # n pairs (x, y) of dimension d drawn in the named regime
+    sign, gap, rx, ry = ANGLE_REGIMES[regime]
+    rng = np.random.default_rng([d, list(ANGLE_REGIMES).index(regime)])
+    x = random_unit(rng, d, (n,))
+    if gap is None:
+        y = random_unit(rng, d, (n,))
+    else:
+        w = rng.standard_normal((n, d))
+        w -= np.sum(w * x, axis=-1, keepdims=True) * x
+        w /= np.linalg.norm(w, axis=-1, keepdims=True)
+        y = sign * math.cos(gap) * x + math.sin(gap) * w
+    return rx * x, ry * y
+
+
+class TestAngles:
+    """sphere_distance, projective_distance and angle_measure against a
+    120-digit angle, and their exact values."""
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 64])
+    @pytest.mark.parametrize("regime", ANGLE_REGIMES)
+    def test_match_120_digits(self, regime, d):
+        x, y = _angle_pairs(regime, d)
+        sph, proj = sphere_distance(x, y), projective_distance(x, y)
+        assert _same_bits(sph, sphere_distance(y, x))
+        assert _same_bits(proj, projective_distance(y, x))
+        worst = 0.0
+        for i in range(len(x)):
+            angle = Angle(np.zeros(d), x[i], y[i])
+            with mp.workdps(40):
+                theta = exact_angle(x[i], y[i])
+                for got, ref in [
+                    (sph[i], theta / mp.pi),
+                    (proj[i], 2 * min(theta, mp.pi - theta) / mp.pi),
+                    (angle_measure(angle), exact_angle(angle.z1, angle.z2)),
+                ]:
+                    worst = max(worst, float(abs(got - ref) / ref))
+        assert worst <= 1e-15
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
+    def test_exact_along_one_line(self, d):
+        rng = np.random.default_rng(d)
+        x = rng.uniform(-5.0, 5.0, (200, d)) * 10.0 ** rng.integers(-200, 200, (200, 1))
+        for y, sph, proj in [(x, 0.0, 0.0), (2.0 * x, 0.0, 0.0), (-2.0 * x, 1.0, 0.0)]:
+            assert np.all(sphere_distance(x, y) == sph)
+            assert np.all(projective_distance(x, y) == proj)
+        z = x[0] / np.linalg.norm(x[0])
+        assert angle_measure(Angle(np.zeros(d), z, -z)) == math.pi
+
+    def test_defects_off_unit(self):
+        # accepted as unit vectors within 1e-6 and read 2.86e-7 and 5.73e-7
+        assert sphere_distance([1.0, 0.0], [1.0 + 9e-7, 0.0]) == 0.0
+        assert projective_distance([1.0, 0.0], [1.0 + 9e-7, 0.0]) == 0.0
+
+    @pytest.mark.parametrize("metric", [sphere_distance, projective_distance])
+    def test_rejects_zero_and_non_finite(self, metric):
+        with pytest.raises(DegenerateInputError):
+            metric([0.0, 0.0], [1.0, 0.0])
+        with pytest.raises(DegenerateInputError):
+            metric([[1.0, 0.0], [0.0, 1.0]], [[1.0, 1.0], [0.0, 0.0]])
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                metric([1.0, bad], [1.0, 0.0])
 
 
 class TestEmbeddings:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hgeom import (
+    DegenerateInputError,
     DimensionError,
     DomainError,
     OmegaGauge,
@@ -356,13 +357,14 @@ class TestSphereFitRotation:
         with pytest.raises(DomainError):
             sphere_fit_rotation(pts, broken)
 
-    def test_rejects_points_off_the_sphere(self):
-        # the Gram gate's bound tol * (1 + max|Gram|) overflowed to inf, so
-        # this returned the identity
-        with pytest.raises(DomainError):
-            sphere_fit_rotation([[1e200, 0.0]], [[1.0, 0.0]])
-        with pytest.raises(DomainError):
-            sphere_fit_rotation([[1.0, 0.0]], [[2.0, 0.0]])
+    def test_points_off_the_sphere_stand_for_their_directions(self):
+        # raised DomainError: points had to be unit vectors within 1e-6
+        quarter = [[0.0, -1.0], [1.0, 0.0]]
+        assert np.array_equal(sphere_fit_rotation([[1e200, 0.0]], [[0.0, 1.0]]), quarter)
+        assert np.array_equal(sphere_fit_rotation([[1.0, 0.0]], [[0.0, 3.0]]), quarter)
+        assert sphere_fit_rotation([[1.0, 0.0], [0.0, 2.0]], [[3.0, 0.0], [1.0, 0.0]]) is None
+        with pytest.raises(DegenerateInputError):
+            sphere_fit_rotation([[1.0, 0.0]], [[0.0, 0.0]])
 
     def test_rejects_point_arrays_that_are_not_lists(self):
         # raised numpy's matmul ValueError

@@ -25,7 +25,7 @@ EARLIER_NAMES = {
     "isometry_invert", "line_min_gap", "line_through", "line_two_vector_form",
     "metrically_collinear", "normalize_euclidean_gauge", "omega_validate",
     "parallel_family", "poincare_coords", "poincare_inverse", "points_equal",
-    "proj_point", "proj_points_equal", "projective_counterexample",
+    "proj_points_equal", "projective_counterexample",
     "projective_distance", "segment_contains", "snowflake_distance",
     "sphere_distance", "sphere_euclidean_radius", "sphere_fit_rotation",
     "sphere_point", "table_gauge", "translation_apply", "translation_isometry",
@@ -44,7 +44,7 @@ class TestPublicNames:
             assert getattr(hgeom, name) is getattr(mod, name)
 
     def test_earlier_names_kept(self):
-        assert len(EARLIER_NAMES) == 59
+        assert len(EARLIER_NAMES) == 58
         assert set(hgeom.__all__) - EARLIER_NAMES == {"UNIT", "RAY", "BUILTIN_GAUGES"}
         assert EARLIER_NAMES <= set(hgeom.__all__)
 
@@ -70,15 +70,18 @@ def test_tolerances_are_constants():
 # returned; the expectation is the error class or a check on the result
 OVERFLOWING_CALLS = {
     "poincare_inverse": (([1e200, 0.0],), DomainError),
-    "sphere_distance": (([1e200, 0.0], [1.0, 0.0]), DomainError),
-    "projective_distance": (([1e200, 0.0], [1.0, 0.0]), DomainError),
+    "sphere_distance": (([1e200, 0.0], [1.0, 0.0]), lambda d: d == 0.0),
+    "projective_distance": (([1e200, 0.0], [0.0, 1.0]), lambda d: d == 1.0),
     "points_equal": (([1e308], [-1e308]), lambda out: out is False),
     "Isometry": (([0.0, 0.0], [[1e200, 0.0], [0.0, 1.0]]), GeometryError),
     "parallel_family": (
         ([1e200, 0.0], [0.0, 1e200], 2.0),
         lambda g: np.allclose(g.z, np.array([2.0, 1.0]) / math.sqrt(5.0), atol=1e-15),
     ),
-    "sphere_fit_rotation": (([[1e200, 0.0]], [[1.0, 0.0]]), DomainError),
+    "sphere_fit_rotation": (
+        ([[1e200, 0.0]], [[0.0, 1.0]]),
+        lambda u: np.array_equal(u, [[0.0, -1.0], [1.0, 0.0]]),
+    ),
 }
 
 

@@ -29,14 +29,33 @@ def naive_argument(x, y):
 
 def exact_hyperbolic_distance(x, y, dps=120):
     """High-precision reference value of the hyperbolic distance.  Float
-    coordinates count at their exact binary64 value, mpf ones as they are."""
+    coordinates count at their exact binary64 value, mpf ones as they are.
+
+    Taken as 2 asinh(sqrt(s/2)) with s = [x][y] - <x,y> - 1 written as
+    (|x - y|^2 - ([x] - [y])^2) / 2, which cancels nothing at x = y, and
+    clamped at s = 0 (cosh d = 1 + s clamped at 1): coincident points give
+    exactly 0.
+    """
     with mp.workdps(dps):
         xm = [mp.mpf(v) for v in x]
         ym = [mp.mpf(v) for v in y]
-        bx = mp.sqrt(1 + mp.fsum(v * v for v in xm))
-        by = mp.sqrt(1 + mp.fsum(v * v for v in ym))
-        ip = mp.fsum(a * b for a, b in zip(xm, ym))
-        return float(mp.acosh(bx * by - ip))
+        nx = mp.fsum(v * v for v in xm)
+        ny = mp.fsum(v * v for v in ym)
+        db = (nx - ny) / (mp.sqrt(1 + nx) + mp.sqrt(1 + ny))  # [x] - [y]
+        s2 = mp.fsum((a - b) ** 2 for a, b in zip(xm, ym)) - db * db  # 2 s
+        return float(2 * mp.asinh(mp.sqrt(max(s2, 0)) / 2))
+
+
+def exact_angle(x, y, dps=120):
+    """The angle between vectors x and y in ``dps``-digit arithmetic, as an
+    mpf: atan2(sqrt(|x|^2 |y|^2 - <x,y>^2), <x,y>) by the Lagrange identity,
+    with coordinates at their exact binary64 value."""
+    with mp.workdps(dps):
+        xm = [mp.mpf(float(v)) for v in x]
+        ym = [mp.mpf(float(v)) for v in y]
+        c = mp.fsum(a * b for a, b in zip(xm, ym))
+        w2 = mp.fsum(v * v for v in xm) * mp.fsum(v * v for v in ym) - c * c
+        return mp.atan2(mp.sqrt(max(w2, 0)), c)
 
 
 def exact_line_gap(g1, g2, start=(0.0, 0.0), dps=120):
