@@ -77,11 +77,11 @@ def as_point(x, name="point"):
 
 
 def _real(v, name):
-    # one finite real number, such as a radius
-    v = _reals(v, name)
-    if v.ndim or not np.isfinite(v):
+    # one finite real number, such as a radius; a bool is none (as in _count)
+    r = _reals(v, name)
+    if r.ndim or np.asarray(v).dtype == bool or not np.isfinite(r):
         raise DomainError(f"{name} must be a finite real number")
-    return float(v)
+    return float(r)
 
 
 # Largest count _count accepts.  No grid or array here is meaningful beyond
@@ -224,14 +224,20 @@ def euclidean_distance(x, y):
     return _scalarize(d)
 
 
-def sphere_point(v):
-    """Normalize ``v`` onto the unit sphere of its ambient space; the zero
-    vector raises DegenerateInputError."""
-    w = _scaled(as_point(v, "sphere point"))[0]
+def _direction(v):
+    # v / |v| of validated vectors, through the exactly rescaled v / 2**e,
+    # whose norm cannot overflow; DegenerateInputError for a zero vector
+    w = _scaled(v)[0]
     n = np.linalg.norm(w, axis=-1, keepdims=True)
     if np.any(n == 0.0):
         raise DegenerateInputError("cannot normalize the zero vector")
     return w / n
+
+
+def sphere_point(v):
+    """Normalize ``v`` onto the unit sphere of its ambient space; the zero
+    vector raises DegenerateInputError."""
+    return _direction(as_point(v, "sphere point"))
 
 
 def _wedge(x, y):
@@ -254,6 +260,11 @@ def _wedge(x, y):
     return np.sqrt(np.maximum(n * _dot(u, u) - _dot(a, u) ** 2, 0.0)).min(axis=0), c
 
 
+def _sphere_distance(x, y):
+    # great-circle distance of validated vectors, diameter 1
+    return np.arctan2(*_wedge(x, y)) / np.pi
+
+
 def sphere_distance(x, y):
     """Great-circle distance theta/pi between the directions of x and y,
     theta = atan2(|x^y|, <x, y>).
@@ -264,8 +275,7 @@ def sphere_distance(x, y):
     relative of a 120-digit angle down to 1e-12 from 0 and pi, at norms
     from 1e-9 to 1e3.
     """
-    w, c = _wedge(*_pair(x, y))
-    return _scalarize(np.arctan2(w, c) / np.pi)
+    return _scalarize(_sphere_distance(*_pair(x, y)))
 
 
 def projective_distance(u, v):

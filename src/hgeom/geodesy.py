@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, _bracket, _count, _distance, _dot, _pair, _quiet_overflow,
-                   _real, _reals, _scaled, _vector, _wedge, as_point, hyperbolic_distance,
-                   points_equal, require_finite)
+from .core import (DEFAULT_TOL, _bracket, _count, _direction, _distance, _dot, _pair,
+                   _quiet_overflow, _real, _reals, _vector, _wedge, as_point,
+                   hyperbolic_distance, points_equal, require_finite)
 from ._dd import minkowski_excess, two_prod, two_sum
 from .errors import DegenerateInputError, DimensionError, DomainError
 from .isometry import _apply, _translate
@@ -49,15 +49,9 @@ __all__ = [
     "line_min_gap",
 ]
 
-@_quiet_overflow
 def _unit(v, name):
-    # normalized through the exactly rescaled w = v / 2**e, whose norm cannot
-    # overflow; |v| itself may be inf here, which is not near zero
-    w, e = _scaled(_vector(v, name))
-    n = np.linalg.norm(w)
-    if np.ldexp(n, e[0]) < 1e-12:
-        raise DegenerateInputError(f"{name} has (near-)zero length")
-    u = w / n
+    # the direction of one vector (any finite nonzero one), read-only
+    u = _direction(_vector(v, name))
     u.setflags(write=False)
     return u
 
@@ -65,7 +59,7 @@ def _unit(v, name):
 @dataclass(frozen=True)
 class Geodesic:
     """A unit-speed line t -> T_a(sinh(t) z): base point ``a`` = gamma(0) and
-    unit direction ``z``.  The direction is normalized at construction."""
+    unit direction ``z``, normalized at construction from any nonzero vector."""
 
     a: np.ndarray
     z: np.ndarray

@@ -1,12 +1,12 @@
-"""Gram comparisons and the interpolating orthogonal map.
+"""The interpolating orthogonal map of both fits.
 
-A finite map fixing the origin preserves hyperbolic distances exactly when it
-preserves all pairwise inner products, so building the linear part of an
-isometry reduces to sending an orthonormal frame of the source span onto the
-target frame with matching Gram data.  One pass over the row pairs builds
-both frames by classical Gram-Schmidt run twice per vector ("CGS2", as stable
-as modified Gram-Schmidt with reorthogonalization).  Off the span any
-orthogonal completion extends the map; the polar factor supplies one.
+A map fixing the origin preserves hyperbolic or great-circle distances
+exactly when it preserves inner products, so the linear part of a fit sends
+an orthonormal frame of the source span onto the target frame with the same
+Gram data.  One pass over the row pairs builds both frames by classical
+Gram-Schmidt run twice per vector ("CGS2", as stable as modified
+Gram-Schmidt with reorthogonalization); off the span the polar factor
+supplies some orthogonal completion.
 """
 
 from __future__ import annotations
@@ -18,17 +18,6 @@ from .errors import GeometryError
 # Residual norm below this (relative to the vector size) counts as linearly
 # dependent during orthonormalization.
 DEPENDENCY_TOL = 1e-12
-
-
-def gram_matrix(vectors):
-    """Matrix of pairwise inner products of the given row vectors."""
-    v = np.asarray(vectors, dtype=float)
-    return v @ v.T
-
-
-def gram_mismatch(a, b):
-    """Largest entrywise deviation between the two Gram matrices."""
-    return float(np.max(np.abs(gram_matrix(a) - gram_matrix(b)))) if len(a) else 0.0
 
 
 def polar_orthogonalize(m):
@@ -48,7 +37,7 @@ def _direction(frame, v):
 def orthogonal_map(source, target):
     """Orthogonal matrix U with U @ source[i] ~= target[i].
 
-    Assumes the two Gram matrices already agree (the caller gates on that).
+    Assumes the two Gram matrices agree (both fits gate on distances first).
     Each source row that adds a direction to the source frame so far is
     paired with the direction its target row adds to the target frame; rows
     adding none are skipped, and the pass stops once the frames span.  U is

@@ -7,7 +7,8 @@ and a normalization of the Euclidean case, the three model families
 (Euclidean spaces, round spheres, hyperbolic spaces) exhaust the connected
 locally compact spaces in which every 3-point partial isometry extends
 globally.  Real projective space just misses the cut: it is 2-point but not
-3-point homogeneous, and this module carries the explicit witness.
+3-point homogeneous, and this module carries the explicit witness, which
+the sphere's fit (``isometry.sphere_fit_rotation``) rejects for every sign.
 """
 
 from __future__ import annotations
@@ -19,19 +20,16 @@ from typing import Callable
 
 import numpy as np
 
-from . import gram
 from .core import (
     DEFAULT_TOL,
     _count,
-    _point_lists,
     _reals,
     euclidean_distance,
     hyperbolic_distance,
     projective_distance,
     sphere_distance,
-    sphere_point,
 )
-from .errors import ConvergenceError, DimensionError, DomainError, GeometryError
+from .errors import ConvergenceError, DimensionError, DomainError
 
 __all__ = [
     "UNIT",
@@ -47,7 +45,6 @@ __all__ = [
     "normalize_euclidean_gauge",
     "ProjectiveCounterexample",
     "projective_counterexample",
-    "sphere_fit_rotation",
 ]
 
 UNIT = "unit"  # gauges on [0, 1]
@@ -64,9 +61,6 @@ _PAIR_BLOCK = 16384
 
 # Iteration cap of each of normalize_euclidean_gauge's two loops.
 _NORMALIZE_MAX_ITER = 200
-
-# sphere_fit_rotation's Gram gate: absolute plus relative tolerance.
-_SPHERE_GRAM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -349,32 +343,12 @@ def projective_counterexample(n=2):
     )
 
     # no sign pattern makes the two Gram matrices agree
-    reference = gram.gram_matrix([x, y, z2])
+    w = np.array([x, y, z2])
+    reference = w @ w.T
     margin = math.inf
-    for e0, e1, e2 in product((1.0, -1.0), repeat=3):
-        candidate = gram.gram_matrix([e0 * x, e1 * y, e2 * z1])
-        margin = min(margin, float(np.max(np.abs(candidate - reference))))
+    for signs in product((1.0, -1.0), repeat=3):
+        v = np.array(signs)[:, None] * [x, y, z1]
+        margin = min(margin, float(np.max(np.abs(v @ v.T - reference))))
 
     verified = bool(ips_match and dp_match and margin > 1e-6)
     return ProjectiveCounterexample(x, y, z1, z2, float(margin), verified)
-
-
-def sphere_fit_rotation(source, target):
-    """Orthogonal matrix mapping source[i] -> target[i] on the sphere, or
-    ``None`` when the Gram matrices differ by more than 1e-6 (absolute plus
-    relative).  Points are any nonzero vectors, standing for their
-    directions (:func:`sphere_point`); a zero vector raises
-    DegenerateInputError.
-
-    The construction mirrors the hyperbolic fit: orthonormal frames with
-    matching pivots, then the polar factor (off the span, some orthogonal map).
-    """
-    src, tgt = map(sphere_point, _point_lists(source, target))
-    scale = float(np.max(np.abs(src @ src.T), initial=0.0))
-    if gram.gram_mismatch(src, tgt) > _SPHERE_GRAM_TOL * (1.0 + scale):
-        return None
-    try:
-        u, _ = gram.orthogonal_map(src, tgt)
-    except GeometryError:
-        return None
-    return u

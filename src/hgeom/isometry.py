@@ -11,6 +11,8 @@ turns absolute homogeneity into an algorithm: any finite distance-preserving
 correspondence extends to a global isometry, built here by translating base
 points to the origin and matching the Gram data of the rest by an orthogonal
 matrix.  Compose and fit read (a, U) off one product of Lorentz matrices.
+``sphere_fit_rotation`` is the same fit on the round sphere, with no base
+point to move.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gram
-from .core import (_bracket, _count, _distance, _dot, _pair, _point_lists,
-                   _quiet_overflow, _real, _reals, _vector, as_point, require_finite)
+from .core import (_bracket, _count, _direction, _distance, _dot, _pair, _point_lists,
+                   _quiet_overflow, _real, _reals, _sphere_distance, _vector, as_point,
+                   require_finite)
 from .errors import (
     DimensionError,
     DomainError,
@@ -40,6 +43,7 @@ __all__ = [
     "isometry_compose",
     "isometry_invert",
     "fit_isometry",
+    "sphere_fit_rotation",
     "dilation_residual",
 ]
 
@@ -227,6 +231,52 @@ class FitResult:
     max_residual: float
 
 
+def _fit(src, tgt, tol, metric, place):
+    # both fits on validated points: the distance gate under metric, the
+    # orthogonal map u between the vectors place(src, tgt) puts at the origin,
+    # and the residual contract; the step place returns last turns u into the
+    # fit and the images of src.  Returns FitResult's fields.
+    dmax = 0.0  # one point meets the distance gate trivially
+    if src.shape[0] > 1:
+        # source and target distance grids in one kernel call
+        pts = np.stack([src, tgt])
+        ds, dt = metric(pts[:, :, None, :], pts[:, None, :, :])
+        gap = np.abs(ds - dt) - tol * (1.0 + ds)
+        if np.any(gap > 0.0):
+            i, j = np.unravel_index(np.argmax(gap), gap.shape)
+            raise PartialIsometryError(
+                f"pair ({i}, {j}): source distance {float(ds[i, j])!r} vs "
+                f"target distance {float(dt[i, j])!r}",
+                pair=(int(i), int(j)),
+            )
+        dmax = float(np.max(ds))
+
+    b, c, extend = place(src, tgt)
+    try:
+        u, rank = gram.orthogonal_map(b, c)
+        fitted, image = extend(u)
+    except GeometryError as exc:
+        raise PartialIsometryError(str(exc)) from exc
+    residual = float(np.max(metric(image, tgt)))
+    bound = tol * (1.0 + dmax)
+    if not residual <= bound:
+        raise PartialIsometryError(
+            f"fit misses a target by {residual!r} (contract {bound!r})"
+        )
+    return fitted, rank == src.shape[1], residual
+
+
+def _to_origin(src, tgt):
+    # H^n: p0 and q0 go to the origin, and the fit is read off T_{q0} u T_{-p0}
+    p0, q0 = src[0], tgt[0]
+
+    def extend(u):
+        iso = _read_off(_matmul(_lorentz(q0, u), _lorentz(-p0, np.eye(len(p0)))))
+        return iso, _apply(iso, src)
+
+    return _translate(-p0, src[1:]), _translate(-q0, tgt[1:]), extend
+
+
 @_quiet_overflow
 def fit_isometry(source, target, tol=FIT_DISTANCE_TOL):
     """Extend the correspondence source[i] -> target[i] to a global isometry.
@@ -241,44 +291,24 @@ def fit_isometry(source, target, tol=FIT_DISTANCE_TOL):
     Raises :class:`PartialIsometryError` when the distance hypothesis fails,
     with the offending index pair attached, when that product fails the
     drift certificate, and when the fitted map misses a target by more than
-    ``tol * (1 + D)``, D the largest source distance.
-    """
+    ``tol * (1 + D)``, D the largest source distance.  So does
+    :func:`sphere_fit_rotation`, on the sphere."""
     src, tgt = _point_lists(source, target)
     tol = _real(tol, "fit tolerance")
     if tol < 0.0:
         raise DomainError(f"fit tolerance must be finite and >= 0, got {tol!r}")
-    dim = src.shape[1]
+    return FitResult(*_fit(src, tgt, tol, _distance, _to_origin))
 
-    dmax = 0.0  # one point meets the distance gate trivially
-    if src.shape[0] > 1:
-        # source and target distance grids in one kernel call
-        pts = np.stack([src, tgt])
-        ds, dt = _distance(pts[:, :, None, :], pts[:, None, :, :])
-        gap = np.abs(ds - dt) - tol * (1.0 + ds)
-        if np.any(gap > 0.0):
-            i, j = np.unravel_index(np.argmax(gap), gap.shape)
-            raise PartialIsometryError(
-                f"pair ({i}, {j}): source distance {float(ds[i, j])!r} vs "
-                f"target distance {float(dt[i, j])!r}",
-                pair=(int(i), int(j)),
-            )
-        dmax = float(np.max(ds))
 
-    p0, q0 = src[0], tgt[0]
-    b = _translate(-p0, src[1:])
-    c = _translate(-q0, tgt[1:])
-    try:
-        u, rank = gram.orthogonal_map(b, c)
-        iso = _read_off(_matmul(_lorentz(q0, u), _lorentz(-p0, np.eye(dim))))
-    except GeometryError as exc:
-        raise PartialIsometryError(str(exc)) from exc
-    residual = float(np.max(_distance(_apply(iso, src), tgt)))
-    bound = tol * (1.0 + dmax)
-    if not residual <= bound:
-        raise PartialIsometryError(
-            f"fit misses a target by {residual!r} (contract {bound!r})"
-        )
-    return FitResult(isometry=iso, unique=(rank == dim), max_residual=residual)
+def sphere_fit_rotation(source, target):
+    """Orthogonal U sending the direction of each source[i] to target[i]'s:
+    :func:`fit_isometry`'s gate, map and contract at ``FIT_DISTANCE_TOL``, on
+    great-circle distances (:func:`sphere_distance`), with no base point to
+    move.  Points are any finite nonzero vectors; a zero vector raises
+    DegenerateInputError.  Off the source span U is some orthogonal map."""
+    src, tgt = map(_direction, _point_lists(source, target))
+    return _fit(src, tgt, FIT_DISTANCE_TOL, _sphere_distance,
+                lambda s, t: (s, t, lambda u: (u, s @ u.T)))[0]
 
 
 def dilation_residual(c, t):

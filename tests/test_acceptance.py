@@ -11,6 +11,7 @@ import numpy as np
 
 from hgeom import (
     Angle,
+    PartialIsometryError,
     builtin_gauge,
     dilation_residual,
     euclidean_distance,
@@ -312,12 +313,19 @@ def test_criterion_11_projective_counterexample():
         for w in (rec.x, rec.y)
     )
     margin_ok = all(rec.gram_margin >= 0.1 for rec in recs.values())
-    none_ok = all(
-        sphere_fit_rotation([e0 * rec.x, e1 * rec.y, e2 * rec.z1],
-                            [rec.x, rec.y, rec.z2]) is None
-        for e0 in (1.0, -1.0) for e1 in (1.0, -1.0) for e2 in (1.0, -1.0)
-    )
-    ok = ok and ips_ok and dp_ok and margin_ok and none_ok
+    # no sign choice is fitted: each raises at a pair whose sphere distances
+    # differ (each returned None before the fit raised)
+    def rejected(e0, e1, e2):
+        try:
+            sphere_fit_rotation([e0 * rec.x, e1 * rec.y, e2 * rec.z1],
+                                [rec.x, rec.y, rec.z2])
+        except PartialIsometryError as exc:
+            return exc.pair is not None
+        return False
+
+    rejected_ok = all(rejected(e0, e1, e2) for e0 in (1.0, -1.0)
+                      for e1 in (1.0, -1.0) for e2 in (1.0, -1.0))
+    ok = ok and ips_ok and dp_ok and margin_ok and rejected_ok
     report(11, "projective counterexample", ok,
            f"gram margin {recs[2].gram_margin:.3f}")
 

@@ -85,6 +85,15 @@ class TestGeodesicPoint:
         z = Geodesic(np.zeros(2), np.array([1e200, 1e200])).z
         assert np.allclose(z, [math.sqrt(0.5)] * 2, rtol=0, atol=1e-15)
 
+    def test_tiny_direction_normalized(self):
+        # any finite nonzero vector is a direction, as for sphere_distance;
+        # a length below 1e-12 raised DegenerateInputError
+        assert np.array_equal(Geodesic(np.zeros(2), [1e-13, 0.0]).z, E1)
+        assert np.array_equal(Geodesic(np.zeros(2), [0.0, 5e-324]).z, E2)
+        angle = Angle(np.zeros(2), [1e-13, 0.0], [0.0, -1e-300])
+        assert np.array_equal(angle.z1, E1) and np.array_equal(angle.z2, -E2)
+        assert is_right_angle(angle)
+
 
 # the three curves that take a parameter t from the caller
 CURVES = {
@@ -729,6 +738,12 @@ class TestParallelFamily:
         a, b = np.array([1e200, 1e200]), np.array([1e200, 0.9e200])
         g = parallel_family(a, b, 2.0)
         assert np.allclose(g.z, np.array([3.0, 2.9]) / math.hypot(3.0, 2.9), atol=1e-15)
+
+    def test_tiny_independent_vectors(self):
+        # the independence test accepted the pair, then the direction 2a + b,
+        # of length 2.2e-13, raised "(near-)zero length"
+        g = parallel_family([1e-13, 0.0], [0.0, 1e-13], 2.0)
+        assert np.allclose(g.z, np.array([2.0, 1.0]) / math.sqrt(5.0), atol=1e-15)
 
 
 class TestTwoVectorForm:

@@ -12,6 +12,7 @@ from hgeom import (
     OmegaGauge,
     OmegaReport,
     OmegaViolation,
+    PartialIsometryError,
     builtin_gauge,
     geodesic_point,
     hyperbolic_distance,
@@ -362,7 +363,10 @@ class TestSphereFitRotation:
         quarter = [[0.0, -1.0], [1.0, 0.0]]
         assert np.array_equal(sphere_fit_rotation([[1e200, 0.0]], [[0.0, 1.0]]), quarter)
         assert np.array_equal(sphere_fit_rotation([[1.0, 0.0]], [[0.0, 3.0]]), quarter)
-        assert sphere_fit_rotation([[1.0, 0.0], [0.0, 2.0]], [[3.0, 0.0], [1.0, 0.0]]) is None
+        # returned None (a Gram mismatch) before the fit raised
+        with pytest.raises(PartialIsometryError) as err:
+            sphere_fit_rotation([[1.0, 0.0], [0.0, 2.0]], [[3.0, 0.0], [1.0, 0.0]])
+        assert err.value.pair == (0, 1)
         with pytest.raises(DegenerateInputError):
             sphere_fit_rotation([[1.0, 0.0]], [[0.0, 0.0]])
 
@@ -373,12 +377,14 @@ class TestSphereFitRotation:
             sphere_fit_rotation(pts, pts)
 
     def test_counterexample_triples_unmatchable(self):
+        # each sign choice returned None before the fit raised
         rec = projective_counterexample(2)
         for e0 in (1.0, -1.0):
             for e1 in (1.0, -1.0):
                 for e2 in (1.0, -1.0):
-                    got = sphere_fit_rotation(
-                        [e0 * rec.x, e1 * rec.y, e2 * rec.z1],
-                        [rec.x, rec.y, rec.z2],
-                    )
-                    assert got is None
+                    with pytest.raises(PartialIsometryError) as err:
+                        sphere_fit_rotation(
+                            [e0 * rec.x, e1 * rec.y, e2 * rec.z1],
+                            [rec.x, rec.y, rec.z2],
+                        )
+                    assert err.value.pair is not None

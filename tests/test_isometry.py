@@ -23,6 +23,7 @@ from hgeom import (
     isometry_apply,
     isometry_compose,
     isometry_invert,
+    sphere_fit_rotation,
     translation_apply,
     translation_isometry,
 )
@@ -467,12 +468,20 @@ class TestFitIsometry:
         d1 = hyperbolic_distance(mapped[:-1], mapped[1:])
         assert np.max(np.abs(d1 - d0)) < 1e-9
 
-    def test_rejects_distance_mismatch(self):
-        src = np.array([[0.0, 0.0], [1.0, 0.0]])
-        tgt = np.array([[0.0, 0.0], [1.1, 0.0]])
+    @pytest.mark.parametrize("fit, src, tgt", [
+        (fit_isometry, [[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.1, 0.0]]),
+        (sphere_fit_rotation, [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.6, 0.8]]),
+        # one point or direction sent to two: on the sphere 1.9e-3 rad apart,
+        # which the Gram gate at 1e-6 let through (it returned the identity,
+        # missing the second target by 6.0e-4)
+        (fit_isometry, [[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e-3, 0.0]]),
+        (sphere_fit_rotation, [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+         [[1.0, 0.0, 0.0], [math.cos(1.9e-3), math.sin(1.9e-3), 0.0]]),
+    ], ids=["hyperbolic", "sphere", "hyperbolic-one-to-two", "sphere-one-to-two"])
+    def test_rejects_distance_mismatch(self, fit, src, tgt):
         with pytest.raises(PartialIsometryError) as err:
-            fit_isometry(src, tgt)
-        assert err.value.pair is not None
+            fit(src, tgt)
+        assert err.value.pair == (0, 1)
 
     def test_gram_criterion_both_directions(self):
         # maps fixing the origin preserve distances iff they preserve inner
@@ -647,6 +656,16 @@ class TestValidateOnce:
         as_point_calls.clear()
         fit_isometry(src, tgt)
         assert len(as_point_calls) <= 3
+
+    def test_sphere_fit(self, as_point_calls):
+        # one check per point list (was 4: each list was checked again when
+        # normalized)
+        rng = np.random.default_rng(43)
+        src = random_unit(rng, 3, (4,))
+        tgt = src @ random_orthogonal(rng, 3).T
+        as_point_calls.clear()
+        sphere_fit_rotation(src, tgt)
+        assert len(as_point_calls) == 2
 
     def test_compose(self, as_point_calls):
         rng = np.random.default_rng(41)

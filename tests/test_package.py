@@ -66,6 +66,26 @@ def test_tolerances_are_constants():
     assert "tol" in inspect.signature(hgeom.fit_isometry).parameters
 
 
+# the scalar parameters read as one finite real number; a bool was read as
+# 1.0 or 0.0 (tol=True gated at 1.0 and returned a fit missing by 0.31)
+REAL_PARAMETERS = {
+    "fit_isometry.tol": lambda v: hgeom.fit_isometry(
+        [[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.5, 0.0]], tol=v),
+    "dilation_residual.c": lambda v: hgeom.dilation_residual(v, 2.0),
+    "dilation_residual.t": lambda v: hgeom.dilation_residual(2.0, v),
+    "parallel_family.mu": lambda v: hgeom.parallel_family([1.0, 0.0], [0.0, 1.0], v),
+    "sphere_euclidean_radius.r": hgeom.sphere_euclidean_radius,
+}
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.array(False)],
+                         ids=["True", "False", "np.True_", "np.array(False)"])
+@pytest.mark.parametrize("name", REAL_PARAMETERS)
+def test_bool_is_not_a_real_parameter(name, flag):
+    with pytest.raises(DomainError, match="finite real number"):
+        REAL_PARAMETERS[name](flag)
+
+
 # each call emitted a RuntimeWarning on finite input before it raised or
 # returned; the expectation is the error class or a check on the result
 OVERFLOWING_CALLS = {
