@@ -52,21 +52,23 @@ _quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
 def _reals(x, name):
-    # x as a float array; DomainError for complex or non-numeric entries
+    # x as a float array; DomainError for boolean, complex or non-numeric
+    # entries
     try:
         arr = np.asarray(x)
-        if arr.dtype.kind == "c":
-            raise TypeError("complex values")
+        if arr.dtype.kind in "bc":
+            raise TypeError("booleans" if arr.dtype.kind == "b" else "complex values")
         return arr.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must hold real numbers ({exc})") from None
+        raise DomainError(f"{name} must hold finite real numbers ({exc})") from None
 
 
 def as_point(x, name="point"):
     """Coerce ``x`` to a float coordinate array and validate it.
 
     Accepts any array-like of real numbers with at least one coordinate on
-    the last axis; rejects complex, non-numeric, NaN and infinite entries.
+    the last axis; rejects boolean, complex, non-numeric, NaN and infinite
+    entries.
     """
     arr = _reals(x, name)
     if arr.ndim == 0 or arr.shape[-1] < 1:
@@ -77,9 +79,9 @@ def as_point(x, name="point"):
 
 
 def _real(v, name):
-    # one finite real number, such as a radius; a bool is none (as in _count)
+    # one finite real number, such as a radius
     r = _reals(v, name)
-    if r.ndim or np.asarray(v).dtype == bool or not np.isfinite(r):
+    if r.ndim or not np.isfinite(r):
         raise DomainError(f"{name} must be a finite real number")
     return float(r)
 

@@ -33,7 +33,7 @@ from hgeom import (
 
 from hgeom import geodesy
 
-from util import exact_line_gap, random_isometry, random_unit
+from util import exact_line_gap, exact_parallel_gap, random_isometry, random_unit
 
 SINH_1 = 1.1752011936438014
 ACOSH_SQRT2 = 0.88137358701954303
@@ -377,8 +377,10 @@ def ultraparallel_problem(seed):
 
 class TestGapScanStops:
     def test_flat_window_stops_early(self, monkeypatch):
-        # a refinement window flat to rounding ends the scan (25 distance
-        # calls when only the half-width stop applied)
+        # the compensated kernel runs only from the window where plain double
+        # stops ranking pairs, and a window flat to rounding ends the scan
+        # (25 distance calls when only the half-width stop applied, 17 when
+        # every window was compensated)
         calls = []
         real = geodesy.hyperbolic_distance
 
@@ -392,7 +394,7 @@ class TestGapScanStops:
         gap, _, _ = curve_min_gap(lambda t: geodesic_point(g1, t),
                                   lambda t: geodesic_point(g2, t))
         assert abs(gap - exact_ultraparallel_gap(a, b, mu)) <= 1e-12 * gap
-        assert len(calls) <= 17
+        assert len(calls) <= 6
 
     @pytest.mark.parametrize("seed", range(4))
     def test_intersecting_lines_gap_tends_to_zero(self, seed):
@@ -457,6 +459,45 @@ class TestGapScanStops:
         with pytest.raises(DomainError, match="integer"):
             curve_min_gap(lambda t: geodesic_point(g1, t),
                           lambda t: geodesic_point(g2, t), samples=flag)
+
+
+def parallel_curves(regime):
+    """(a, b, mu) of parallel constructions whose second curve
+    {sinh t a + cosh t b} is a line ("lines", the benchmark's gap units), a
+    random independent pair at d2-d5 ("curves"), or such a pair based far
+    out, |b| from 10 to 1e3 ("far")."""
+    if regime == "lines":
+        return [ultraparallel_problem(seed) for seed in range(12)]
+    out = []
+    for dim in (2, 3, 4, 5):
+        rng = np.random.default_rng(dim + (10 if regime == "far" else 0))
+        for _ in range(6):
+            a, b = rng.standard_normal((2, dim))
+            if regime == "far":
+                b = 10.0 ** rng.uniform(1.0, 3.0) * random_unit(rng, dim)
+            out.append((a, b, rng.choice([-1.0, 1.0]) * rng.uniform(1.05, 4.0)))
+    return out
+
+
+class TestCurveScanAgainstClosedForm:
+    @pytest.mark.parametrize("regime", ["lines", "curves", "far"])
+    def test_scan_against_120_digit_gap(self, regime):
+        for a, b, mu in parallel_curves(regime):
+            g1 = parallel_family(a, b, mu)
+            curve_a = lambda u: geodesic_point(g1, u)  # noqa: E731
+            curve_b = lambda u: two_vector_point(a, b, u)  # noqa: E731
+            gap, s, t = curve_min_gap(curve_a, curve_b)
+            # the gap is the distance between the points it names, to the bit
+            assert gap == hyperbolic_distance(curve_a(np.array([s]))[0],
+                                              curve_b(np.array([t]))[0])
+            # the exact gap between the line as built and the curve: the
+            # result lies below it by no more than the points' rounding
+            exact, es, et = (float(v) for v in exact_parallel_gap(g1.z, a, b))
+            assert gap >= exact * (1.0 - 1e-12), (gap, exact)
+            if regime == "lines":
+                assert abs(exact - exact_ultraparallel_gap(a, b, mu)) <= 1e-14 * exact
+                if max(abs(es), abs(et)) < 10.0:
+                    assert abs(gap - exact) <= 1e-12 * exact, (gap, exact)
 
 
 def skew_pair(rng, dim, scale=1.0, apart=False):

@@ -86,6 +86,29 @@ def test_bool_is_not_a_real_parameter(name, flag):
         REAL_PARAMETERS[name](flag)
 
 
+# coordinates and curve parameters hold real numbers, not booleans: each
+# call read True as 1.0 (the distance was 0.881, the point the one at t = 1,
+# the map the identity)
+BOOLEAN_ARGUMENTS = {
+    "hyperbolic_distance": lambda: hgeom.hyperbolic_distance([True, False], [0.0, 0.0]),
+    "hyperbolic_distance.np": lambda: hgeom.hyperbolic_distance(np.array([True, False]),
+                                                                [0.0, 0.0]),
+    "geodesic_point": lambda: hgeom.geodesic_point(hgeom.Geodesic([0.0], [1.0]), True),
+    "geodesic_point.np": lambda: hgeom.geodesic_point(hgeom.Geodesic([0.0], [1.0]),
+                                                      np.array([True, False])),
+    "h1_embedding": lambda: hgeom.h1_embedding(True),
+    "h1_embedding.np": lambda: hgeom.h1_embedding(np.True_),
+    "Isometry": lambda: hgeom.Isometry([0.0, 0.0], [[True, False], [False, True]]),
+    "Isometry.np": lambda: hgeom.Isometry([0.0, 0.0], np.eye(2, dtype=bool)),
+}
+
+
+@pytest.mark.parametrize("name", BOOLEAN_ARGUMENTS)
+def test_booleans_are_not_reals(name):
+    with pytest.raises(DomainError, match="booleans"):
+        BOOLEAN_ARGUMENTS[name]()
+
+
 # each call emitted a RuntimeWarning on finite input before it raised or
 # returned; the expectation is the error class or a check on the result
 OVERFLOWING_CALLS = {
@@ -101,6 +124,13 @@ OVERFLOWING_CALLS = {
     "sphere_fit_rotation": (
         ([[1e200, 0.0]], [[0.0, 1.0]]),
         lambda u: np.array_equal(u, [[0.0, -1.0], [1.0, 0.0]]),
+    ),
+    # no warning before, but the scan's plain-double steering squares these
+    # points: two curves {sinh t e2 + cosh t b} based at |b| = 1e160
+    "curve_min_gap": (
+        (lambda t: hgeom.two_vector_point([0.0, 1.0], [1e160, 0.0], t),
+         lambda t: hgeom.two_vector_point([0.0, 1.0], [-1e160, 0.0], t)),
+        DomainError,
     ),
 }
 

@@ -95,6 +95,37 @@ def exact_line_gap(g1, g2, start=(0.0, 0.0), dps=120):
         return mp.acosh(max(f(s, t), mp.mpf(1))), s, t
 
 
+def exact_parallel_gap(v, a, b, dps=120):
+    """Distance between the line through the origin along ``v`` and the curve
+    {sinh t a + cosh t b}, in ``dps``-digit arithmetic, with float inputs at
+    their exact binary64 value.  Returns ``(gap, s, t)`` as mpf: the closest
+    pair is the line's point at s and the curve's point at t.
+
+    With a', b' the parts of a and b orthogonal to v, A = |a'|^2,
+    B = |b'|^2 and C = <a', b'>, sinh d(x(t), line) = |x'(t)| and
+    |x'(t)|^2 = (B - A)/2 + ((A + B)/2) cosh 2t + C sinh 2t, least at
+    tanh 2t = -2C/(A + B), where it is ((B - A) + r)/2 with
+    r = sqrt((A + B)^2 - 4C^2).  The foot on the line has tanh s = <x, v>/[x].
+    """
+    with mp.workdps(dps):
+        v, a, b = ([mp.mpf(float(c)) for c in w] for w in (v, a, b))
+        nv = mp.sqrt(mp.fsum(c * c for c in v))
+        v = [c / nv for c in v]
+
+        def off(w):
+            k = mp.fsum(p * q for p, q in zip(w, v))
+            return [p - k * q for p, q in zip(w, v)]
+
+        ao, bo = off(a), off(b)
+        A, B = mp.fsum(c * c for c in ao), mp.fsum(c * c for c in bo)
+        C = mp.fsum(p * q for p, q in zip(ao, bo))
+        t = mp.atanh(-2 * C / (A + B)) / 2
+        q = ((B - A) + mp.sqrt((A + B) ** 2 - 4 * C * C)) / 2
+        x = [mp.sinh(t) * p + mp.cosh(t) * r for p, r in zip(a, b)]
+        s = mp.atanh(mp.fsum(p * r for p, r in zip(x, v)) / mp.sqrt(1 + mp.fsum(c * c for c in x)))
+        return mp.asinh(mp.sqrt(max(q, 0))), s, t
+
+
 def exact_translation_apply(y, x, dps=120):
     """T_y(x) in ``dps``-digit arithmetic, for a float vector ``y``.
 
